@@ -213,8 +213,11 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
     // One feeder thread per session: capture, batch-decode, then stream
     // the same frames through a LinkSession. A barrier with one extra
     // party (the scraper) guarantees scrape #1 happens while every
-    // session is live and has decoded at least one frame.
+    // session is live and has decoded at least one frame. A second
+    // barrier among the feeders holds every session's arena warmup until
+    // all captures are done (see `feed_session`).
     let barrier = Barrier::new(options.sessions + 1);
+    let captured = Barrier::new(options.sessions);
     let done = AtomicUsize::new(0);
     let started = Instant::now();
 
@@ -268,15 +271,23 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
         for i in 0..options.sessions {
             let seed = SEEDS[i % SEEDS.len()] + 1000 * (i / SEEDS.len()) as u64;
             let registry = registry.clone();
-            let barrier = &barrier;
+            let (barrier, captured) = (&barrier, &captured);
             let done = &done;
             // Failure injection targets exactly one session: the rest stay
             // healthy so the smoke gates (batch match, mid-run liveness)
             // keep their meaning.
             let corrupt = options.flight && i == 0;
             handles.push(scope.spawn(move || {
-                let outcome =
-                    feed_session(i, seed, device, options.seconds, corrupt, registry, barrier);
+                let barriers = (captured, barrier);
+                let outcome = feed_session(
+                    i,
+                    seed,
+                    device,
+                    options.seconds,
+                    corrupt,
+                    registry,
+                    barriers,
+                );
                 done.fetch_add(1, Ordering::Release);
                 outcome
             }));
@@ -488,10 +499,16 @@ fn feed_session(
     seconds: f64,
     corrupt: bool,
     registry: Registry,
-    barrier: &Barrier,
+    (captured, barrier): (&Barrier, &Barrier),
 ) -> Result<SessionOutcome, String> {
     let label = format!("s{index}");
-    let prep = prepare_session(&label, seed, device, seconds, corrupt, &registry);
+    // Every feeder finishes capturing before any warms the shared arena: a
+    // capture still running on another feeder would otherwise check out
+    // the pixel buffers this session reserves for its in-flight clones, and
+    // those clones would then miss after warmup.
+    let run = capture_session(seed, device, seconds, corrupt);
+    captured.wait();
+    let prep = run.and_then(|(sim, run)| prepare_session(&label, sim, run, &registry));
     // The barrier must be released on both paths — a deadlocked scraper
     // would hang the whole gateway on one bad session.
     let prep = match prep {
@@ -529,17 +546,14 @@ type PreparedSession = (
     usize,
 );
 
-/// Everything up to the barrier: capture, per-session `tx.*` ground-truth
-/// counters, the batch reference decode, and a spawned session that has
-/// decoded at least one frame.
-fn prepare_session(
-    label: &str,
+/// Build the session's link and capture its frames (with the `--flight`
+/// corruption applied when asked).
+fn capture_session(
     seed: u64,
     device: &colorbars_camera::DeviceProfile,
     seconds: f64,
     corrupt: bool,
-    registry: &Registry,
-) -> Result<PreparedSession, String> {
+) -> Result<(LinkSimulator, CapturedRun), String> {
     let sim = LinkSimulator::paper_setup(SMOKE_ORDER, SMOKE_RATE_HZ, device.clone(), seed)
         .map_err(|e| format!("operating point unrealizable: {e}"))?;
     let payload = sim
@@ -554,7 +568,18 @@ fn prepare_session(
         // byte-identity gate would report the injection as a divergence.
         inject_decode_failure(&mut run.frames);
     }
+    Ok((sim, run))
+}
 
+/// Everything after capture up to the scrape barrier: arena warmup,
+/// per-session `tx.*` ground-truth counters, the batch reference decode,
+/// and a spawned session that has decoded at least one frame.
+fn prepare_session(
+    label: &str,
+    sim: LinkSimulator,
+    run: CapturedRun,
+    registry: &Registry,
+) -> Result<PreparedSession, String> {
     // The captured frames keep their pixel buffers alive for the whole run,
     // so warm the shared arena with this session's worth of in-flight clone
     // buffers *after* capture: queue depth, the frame being decoded, the

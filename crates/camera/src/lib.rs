@@ -18,15 +18,16 @@
 //!   paper's Fig 8(a), which motivates demodulating in CIELAB.
 //! * [`exposure`] — the auto-exposure/auto-ISO controller that commodity
 //!   phones run (the paper deliberately leaves it enabled, Section 8).
-//! * [`rig`] — the rolling-shutter capture loop tying everything to an LED
-//!   emitter through an optical channel: each scanline integrates light over
+//! * [`rig`] — the rolling-shutter capture loop tying everything to LED
+//!   emitters through optical channels: each scanline integrates light over
 //!   its own staggered exposure window, frames are separated by the
 //!   inter-frame gap, and every captured frame reports exactly when each of
-//!   its rows saw the scene.
+//!   its rows saw the scene. One capture kernel renders every frame.
 //! * [`scene`] — column-partitioned spatial scenes: the [`SceneRadiance`]
-//!   contract lets the rig sample per-(row, region) irradiance when several
-//!   transmitters share the sensor, with the one-region [`UniformScene`]
-//!   pinned byte-identical to the classic single-emitter path.
+//!   contract is what the capture kernel renders, sampling per-(row,
+//!   region) irradiance. Several transmitters sharing the sensor are a
+//!   multi-region scene; a single emitter is the one-region
+//!   [`UniformScene`] the rig's single-emitter entry points build.
 //!
 //! The simulation is deterministic given an RNG seed.
 

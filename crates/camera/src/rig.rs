@@ -20,18 +20,30 @@
 //! is configurable; receivers average across it exactly as the paper's app
 //! averages across the full width.
 //!
-//! ## The fast capture path
+//! ## One capture kernel
 //!
-//! Frame rendering is the throughput ceiling of every experiment, so the
-//! capture loop is built for speed without changing a single stored byte:
+//! Every frame — one emitter filling the ROI, or several transmitters
+//! sharing the sensor — renders through the same body. The rig sees the
+//! world as a [`SceneRadiance`]: a column-partitioned set of radiance
+//! regions. [`CameraRig::capture_frame`], [`CameraRig::capture_video`] and
+//! [`CameraRig::settle_exposure`] wrap their emitter in a one-region
+//! [`UniformScene`] and call the scene entry points, so the single-emitter
+//! link is the scene kernel's one-region case rather than a second
+//! renderer. Irradiance is integrated per (row, region) and blurred with
+//! each region's PSF; the photosite loop walks the row's *column runs*
+//! (contiguous columns sharing a region) and applies the device color
+//! transform once per (row, run). A one-region scene has one run per row,
+//! which is exactly the per-row transform of a uniform emitter.
+//!
+//! The kernel is built for speed without changing a single stored byte:
 //!
 //! * **Row parallelism.** Rows are independent under the rolling shutter;
 //!   [`CaptureConfig::threads`] spreads both the irradiance integration and
 //!   the photosite loop across scoped worker threads. Sensor noise comes
 //!   from *per-row counter-derived RNG streams* (seeded by a splitmix64 mix
 //!   of `(seed, frame_index, row)`), so the output is bit-identical for
-//!   every thread count — determinism is a function of the seed, not the
-//!   schedule.
+//!   every thread count and every spatial layout — determinism is a
+//!   function of the seed, not the schedule.
 //! * **Hoisted per-pixel constants.** The radial vignetting factor
 //!   decomposes into cached row + column profiles
 //!   ([`Vignette::profiles`]), and gamma encoding uses the exact
@@ -42,16 +54,19 @@
 //!   read²)` ([`crate::sensor::SensorModel::expose_with_noise`]), and the
 //!   photosite loop consumes normals from even-width lane chunks filled by
 //!   [`fill_normals`] — the RNG never appears inside the per-pixel loop,
-//!   and the draw order (pairs in sequence, odd row tail discards the sine
-//!   branch) is exactly the scalar spare-keeping order, so the bytes are
-//!   unchanged.
-//! * **Zero allocations at steady state.** Raw planes, row-irradiance
-//!   scratch and the stored pixel buffer all cycle through a
-//!   [`FramePool`]; a captured [`Frame`] returns its pixels to the pool on
-//!   drop, so a warmed-up capture→decode pipeline performs no per-frame
-//!   heap allocation (the gateway smoke run asserts zero pool misses).
-//! * **An opt-in f32 lane path** ([`CaptureConfig::lane_f32`], env
-//!   `COLORBARS_CAPTURE_F32`): polynomial Box–Muller kernels
+//!   lane chunks are independent of where run boundaries fall, and the
+//!   draw order (pairs in sequence, odd row tail discards the sine branch)
+//!   is exactly the scalar spare-keeping order.
+//! * **Zero allocations at steady state.** Raw planes, per-region
+//!   row-irradiance scratch and the stored pixel buffer all cycle through a
+//!   [`FramePool`], and the column-run map keeps its capacity in the rig;
+//!   a captured [`Frame`] returns its pixels to the pool on drop, so a
+//!   warmed-up capture→decode pipeline performs no per-frame heap
+//!   allocation for single-emitter and multi-transmitter scenes alike (the
+//!   gateway smoke run asserts zero pool misses).
+//! * **One precision switch.** [`CaptureConfig::lane_f32`] (env
+//!   `COLORBARS_CAPTURE_F32`) selects the photosite arithmetic and the
+//!   demosaic/encode call, nothing else: polynomial Box–Muller kernels
 //!   ([`fill_normals_f32`]), folded exposure constants and an f32 demosaic
 //!   roughly halve capture cost. It is *tolerance*-gated (each lane tracks
 //!   the f64 normal at the same stream position; SER/goodput sit inside
@@ -63,7 +78,7 @@ use crate::device::DeviceProfile;
 use crate::exposure::AutoExposure;
 use crate::frame::{Frame, FrameMeta};
 use crate::pool::FramePool;
-use crate::scene::SceneRadiance;
+use crate::scene::{SceneRadiance, UniformScene};
 use crate::sensor::{fill_normals, fill_normals_f32};
 use crate::vignette::Vignette;
 use colorbars_channel::OpticalChannel;
@@ -141,17 +156,39 @@ struct VigCache {
     vcols32: Vec<f32>,
 }
 
-/// A camera rig: one device filming one LED through one optical channel.
+/// Contiguous ROI columns `[start, end)` that all show scene `region`.
+#[derive(Debug, Clone, Copy)]
+struct ColumnRun {
+    start: usize,
+    end: usize,
+    region: usize,
+}
+
+/// A camera rig: one device filming a scene through an optical channel.
 #[derive(Debug)]
 pub struct CameraRig {
-    device: DeviceProfile,
     channel: OpticalChannel,
+    capture: Capture,
+}
+
+/// Everything a frame render reads or mutates except the optical channel.
+/// Keeping the channel outside lets the single-emitter entry points lend
+/// `&self.channel` to a [`UniformScene`] while the kernel holds `&mut`
+/// capture state — no per-frame channel clone.
+#[derive(Debug)]
+struct Capture {
+    device: DeviceProfile,
     config: CaptureConfig,
     ae: AutoExposure,
     quant: SrgbQuantizer,
     quant_f32: SrgbQuantizerF32,
     pool: FramePool,
     vig: VigCache,
+    /// The current frame's column-run map (capacity kept across frames).
+    runs: Vec<ColumnRun>,
+    /// The current frame's blurred per-row light, one pooled buffer per
+    /// scene region; emptied back into the pool after every frame.
+    region_light: Vec<Vec<Xyz>>,
     frames_captured: usize,
 }
 
@@ -166,18 +203,107 @@ impl CameraRig {
         );
         let ae = AutoExposure::new(&device);
         CameraRig {
-            device,
             channel,
-            config,
-            ae,
-            quant: SrgbQuantizer::new(),
-            quant_f32: SrgbQuantizerF32::new(),
-            pool: FramePool::global().clone(),
-            vig: VigCache::default(),
-            frames_captured: 0,
+            capture: Capture {
+                device,
+                config,
+                ae,
+                quant: SrgbQuantizer::new(),
+                quant_f32: SrgbQuantizerF32::new(),
+                pool: FramePool::global().clone(),
+                vig: VigCache::default(),
+                runs: Vec::new(),
+                region_light: Vec::new(),
+                frames_captured: 0,
+            },
         }
     }
 
+    /// Replace the exposure controller (e.g. [`AutoExposure::locked`] for
+    /// the Fig 6 sweeps).
+    pub fn set_exposure_controller(&mut self, ae: AutoExposure) {
+        self.capture.ae = ae;
+    }
+
+    /// The buffer pool this rig's captures draw from and recycle into.
+    pub fn pool(&self) -> &FramePool {
+        &self.capture.pool
+    }
+
+    /// Use a dedicated buffer pool instead of the process-global one
+    /// (isolated tests, memory-bounded embedders).
+    pub fn set_pool(&mut self, pool: FramePool) {
+        self.capture.pool = pool;
+    }
+
+    /// The device being simulated.
+    pub fn device(&self) -> &DeviceProfile {
+        &self.capture.device
+    }
+
+    /// Mutable access to the channel (ambient/distance changes mid-capture).
+    pub fn channel_mut(&mut self) -> &mut OpticalChannel {
+        &mut self.channel
+    }
+
+    /// Capture `n` consecutive frames of `emitter`, starting at time
+    /// `start_time`. Frames are spaced by the device frame period; the
+    /// auto-exposure controller adapts between frames.
+    pub fn capture_video(&mut self, emitter: &LedEmitter, start_time: f64, n: usize) -> Vec<Frame> {
+        self.capture
+            .video(&UniformScene::new(emitter, &self.channel), start_time, n)
+    }
+
+    /// Capture a single frame of `emitter` beginning at `start_time`.
+    ///
+    /// The frame's bytes depend only on the configuration (seed included)
+    /// and the capture history — never on [`CaptureConfig::threads`].
+    pub fn capture_frame(&mut self, emitter: &LedEmitter, start_time: f64) -> Frame {
+        self.capture
+            .frame(&UniformScene::new(emitter, &self.channel), start_time)
+    }
+
+    /// Warm the auto-exposure controller on `emitter` until it settles
+    /// (real apps do this during the first second of preview). Captures
+    /// and discards up to `max_frames` frames.
+    pub fn settle_exposure(&mut self, emitter: &LedEmitter, max_frames: usize) {
+        self.capture
+            .settle(&UniformScene::new(emitter, &self.channel), max_frames);
+    }
+
+    /// Capture `n` consecutive frames of a column-partitioned scene — the
+    /// multi-transmitter form of [`CameraRig::capture_video`]. The rig's own
+    /// channel is not consulted: each region brings its own.
+    pub fn capture_video_scene(
+        &mut self,
+        scene: &dyn SceneRadiance,
+        start_time: f64,
+        n: usize,
+    ) -> Vec<Frame> {
+        self.capture.video(scene, start_time, n)
+    }
+
+    /// Capture a single frame of a column-partitioned scene beginning at
+    /// `start_time` — the one capture kernel every entry point runs.
+    ///
+    /// Every ROI column belongs to one of the scene's radiance regions:
+    /// irradiance is integrated per (row, region), each region's scanline
+    /// signal gets its own PSF blur, and the photosite loop applies the
+    /// color transform once per (row, column run). Per-row noise streams,
+    /// demosaic and gamma never see the layout, so a one-region scene
+    /// ([`UniformScene`]) is byte for byte the single-emitter capture.
+    pub fn capture_frame_scene(&mut self, scene: &dyn SceneRadiance, start_time: f64) -> Frame {
+        self.capture.frame(scene, start_time)
+    }
+
+    /// Warm the auto-exposure controller on a column-partitioned scene —
+    /// the multi-transmitter form of [`CameraRig::settle_exposure`].
+    pub fn settle_exposure_scene(&mut self, scene: &dyn SceneRadiance, max_frames: usize) {
+        self.capture.settle(scene, max_frames);
+    }
+}
+
+impl Capture {
     /// Fill the vignette-profile cache for a `rows × width` frame if the
     /// geometry changed (or on first use).
     fn ensure_vig_cache(&mut self, rows: usize, width: usize) {
@@ -192,288 +318,42 @@ impl CameraRig {
         self.vig.width = width;
     }
 
-    /// Replace the exposure controller (e.g. [`AutoExposure::locked`] for
-    /// the Fig 6 sweeps).
-    pub fn set_exposure_controller(&mut self, ae: AutoExposure) {
-        self.ae = ae;
-    }
-
-    /// The buffer pool this rig's captures draw from and recycle into.
-    pub fn pool(&self) -> &FramePool {
-        &self.pool
-    }
-
-    /// Use a dedicated buffer pool instead of the process-global one
-    /// (isolated tests, memory-bounded embedders).
-    pub fn set_pool(&mut self, pool: FramePool) {
-        self.pool = pool;
-    }
-
-    /// The device being simulated.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
-    /// Mutable access to the channel (ambient/distance changes mid-capture).
-    pub fn channel_mut(&mut self) -> &mut OpticalChannel {
-        &mut self.channel
-    }
-
-    /// Capture `n` consecutive frames of `emitter`, starting at time
-    /// `start_time`. Frames are spaced by the device frame period; the
-    /// auto-exposure controller adapts between frames.
-    pub fn capture_video(&mut self, emitter: &LedEmitter, start_time: f64, n: usize) -> Vec<Frame> {
+    /// Capture `n` frames spaced by the frame period, letting auto-exposure
+    /// adapt between them.
+    fn video(&mut self, scene: &dyn SceneRadiance, start_time: f64, n: usize) -> Vec<Frame> {
         let _span = obs::span!("camera.capture_video");
         let mut frames = Vec::with_capacity(n);
         for k in 0..n {
             let t = start_time + k as f64 * self.device.frame_period();
-            let frame = self.capture_frame(emitter, t);
+            let frame = self.frame(scene, t);
             self.ae.observe(frame.mean_luma(), &self.device);
             frames.push(frame);
         }
         frames
     }
 
-    /// Capture a single frame beginning at `start_time`.
-    ///
-    /// The frame's bytes depend only on the configuration (seed included)
-    /// and the capture history — never on [`CaptureConfig::threads`].
-    pub fn capture_frame(&mut self, emitter: &LedEmitter, start_time: f64) -> Frame {
-        let _span = obs::span!("camera.capture_frame");
-        obs::counter!("camera.frames");
-        let rows = self.device.rows;
-        let width = self.config.roi_width;
-        let settings = self.ae.settings();
-        let row_time = self.device.row_time();
-        let frame_index = self.frames_captured;
-        let threads = self.resolve_threads(rows);
-
-        // Step 1: per-row mean irradiance over each row's exposure window
-        // (rows are independent — row-parallel). Scratch buffers come from
-        // the frame pool; every element is overwritten, so reuse needs no
-        // clearing.
-        let mut row_light: Vec<Xyz> = self.pool.take_row_light(rows);
-        {
-            let _stage = obs::span!("camera.rows_integrate");
-            let channel = &self.channel;
-            par_row_chunks(&mut row_light, 1, threads, |first, chunk| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let t0 = start_time + (first + i) as f64 * row_time;
-                    *out = channel.received_mean(emitter, t0, t0 + settings.exposure);
-                }
-            });
+    /// Capture and discard frames until the meter settles, at most
+    /// `max_frames`.
+    fn settle(&mut self, scene: &dyn SceneRadiance, max_frames: usize) {
+        let _span = obs::span!("camera.settle_exposure");
+        let mut last = f64::NAN;
+        for k in 0..max_frames {
+            let t = k as f64 * self.device.frame_period();
+            let frame = self.frame(scene, t);
+            let luma = frame.mean_luma();
+            self.ae.observe(luma, &self.device);
+            // Converged only once the meter is in its informative range —
+            // a clipped reading that hasn't moved is not convergence.
+            if (0.1..=0.9).contains(&luma) && (luma - last).abs() < 0.01 {
+                break;
+            }
+            last = luma;
         }
-
-        // Step 2: PSF blur across rows (band-edge ISI) into a second pooled
-        // buffer; the pre-blur buffer goes straight back to the pool.
-        let mut blurred = self.pool.take_row_light(0);
-        self.channel
-            .blur()
-            .convolve_rows_into(&row_light, &mut blurred);
-        self.pool.recycle_row_light(row_light);
-        let row_light = blurred;
-
-        // Step 3: per-photosite capture. The device sees the scene through
-        // its own color transform; noise applies per photosite in the
-        // mosaic domain; demosaic reconstructs RGB; gamma+quantize stores.
-        // Each row draws its noise from its own RNG stream keyed on
-        // (seed, frame, row), so the bytes are identical at every thread
-        // count. Vignetting uses the cached row/column profiles. Noise is
-        // drawn in even-width lane chunks (fill_normals), which keeps the
-        // photosite loop free of RNG calls without changing the draw order
-        // the scalar spare-keeping loop established.
-        let m = self.device.xyz_to_linear_srgb();
-        self.ensure_vig_cache(rows, width);
-        let seed = self.config.seed;
-        let device = &self.device;
-        let light = &row_light;
-        let (vrows, vcols) = (&self.vig.vrows[..], &self.vig.vcols[..]);
-        let vcols32 = &self.vig.vcols32[..];
-        // The mosaic channel depends only on (row % 2, col % 2); hoist the
-        // CFA dispatch into a parity table so the photosite loop indexes
-        // instead of matching per pixel.
-        let cfa_parity = {
-            let idx = |r: usize, c: usize| -> usize {
-                match device.cfa.channel_at(r, c) {
-                    CfaChannel::R => 0,
-                    CfaChannel::G => 1,
-                    CfaChannel::B => 2,
-                }
-            };
-            [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]]
-        };
-        let mut pixels: Vec<[u8; 3]> = self.pool.take_pixels(rows * width);
-        if self.config.lane_f32 {
-            // The opt-in f32 lane path: same per-row streams, polynomial
-            // Box–Muller, folded exposure constants, f32 demosaic. Samples
-            // are still formed in f64 from the row's device RGB (cheap, and
-            // it keeps the only precision loss in the noise/exposure math
-            // the equivalence test bounds).
-            let mut raw = self.pool.take_raw_f32(rows * width);
-            {
-                let _stage = obs::span!("camera.mosaic");
-                let kernel = device
-                    .sensor
-                    .lane_kernel_f32(settings.exposure, settings.iso);
-                par_row_chunks(&mut raw, width, threads, |first, chunk| {
-                    let mut lanes = [0.0f32; NOISE_LANES];
-                    for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
-                        let r = first + i;
-                        let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
-                        let device_rgb = LinearRgb::from_vec3(m.mul_vec(light[r].to_vec3()))
-                            .compress_into_gamut();
-                        let channels = [device_rgb.r, device_rgb.g, device_rgb.b];
-                        let cfa_row = &cfa_parity[r & 1];
-                        // Per-row constants in f32: the two CFA channels a
-                        // row alternates between, and the row's vignette
-                        // factor. NOISE_LANES is even, so `base` is always
-                        // even and lane parity equals global column parity —
-                        // the photosite loop runs in alternating pairs of
-                        // straight-line f32 arithmetic.
-                        let ch32 = [channels[cfa_row[0]] as f32, channels[cfa_row[1]] as f32];
-                        let vrow32 = vrows[r] as f32;
-                        let mut base = 0usize;
-                        while base < width {
-                            let n = (width - base).min(NOISE_LANES);
-                            fill_normals_f32(&mut rng, &mut lanes[..n]);
-                            let seg = &mut row_raw[base..base + n];
-                            let vseg = &vcols32[base..base + n];
-                            for ((pair, vc), nz) in seg
-                                .chunks_exact_mut(2)
-                                .zip(vseg.chunks_exact(2))
-                                .zip(lanes.chunks_exact(2))
-                            {
-                                pair[0] =
-                                    kernel.expose((ch32[0] * (vrow32 + vc[0])).max(0.0), nz[0]);
-                                pair[1] =
-                                    kernel.expose((ch32[1] * (vrow32 + vc[1])).max(0.0), nz[1]);
-                            }
-                            if n & 1 == 1 {
-                                let k = n - 1;
-                                seg[k] = kernel
-                                    .expose((ch32[k & 1] * (vrow32 + vseg[k])).max(0.0), lanes[k]);
-                            }
-                            base += n;
-                        }
-                    }
-                });
-            }
-            {
-                let _stage = obs::span!("camera.encode");
-                let quant = &self.quant_f32;
-                demosaic_bilinear_f32_with(&raw, width, rows, self.device.cfa, |px| {
-                    pixels.push(quant.encode_pixel(px));
-                });
-            }
-            self.pool.recycle_raw_f32(raw);
-        } else {
-            // The reference f64 path — bit-identical to the scalar loop it
-            // replaced (fill_normals preserves the draw order; the exposure
-            // arithmetic is untouched).
-            let mut raw = self.pool.take_raw_f64(rows * width);
-            {
-                let _stage = obs::span!("camera.mosaic");
-                par_row_chunks(&mut raw, width, threads, |first, chunk| {
-                    let mut lanes = [0.0f64; NOISE_LANES];
-                    for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
-                        let r = first + i;
-                        let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
-                        // ISP gamut mapping: scene colors more saturated
-                        // than the output space are desaturated toward
-                        // neutral, not hard-clipped (hard clipping would
-                        // collapse distinct saturated colors).
-                        let device_rgb = LinearRgb::from_vec3(m.mul_vec(light[r].to_vec3()))
-                            .compress_into_gamut();
-                        let channels = [device_rgb.r, device_rgb.g, device_rgb.b];
-                        let cfa_row = &cfa_parity[r & 1];
-                        let vrow = vrows[r];
-                        // Only the mosaic-selected channel is scaled by the
-                        // vignette factor — the other two never leave the
-                        // sensor.
-                        let mut base = 0usize;
-                        while base < width {
-                            let n = (width - base).min(NOISE_LANES);
-                            fill_normals(&mut rng, &mut lanes[..n]);
-                            for (k, out) in row_raw[base..base + n].iter_mut().enumerate() {
-                                let c = base + k;
-                                let sample =
-                                    (channels[cfa_row[c & 1]] * (vrow + vcols[c])).max(0.0);
-                                *out = device.sensor.expose_with_noise(
-                                    sample,
-                                    settings.exposure,
-                                    settings.iso,
-                                    lanes[k],
-                                );
-                            }
-                            base += n;
-                        }
-                    }
-                });
-            }
-            // Demosaic and gamma encoding fuse into one streaming pass —
-            // the full-RGB plane never materializes.
-            {
-                let _stage = obs::span!("camera.encode");
-                let quant = &self.quant;
-                demosaic_bilinear_with(&raw, width, rows, self.device.cfa, |px| {
-                    pixels.push(quant.encode_pixel(px));
-                });
-            }
-            self.pool.recycle_raw_f64(raw);
-        }
-        self.pool.recycle_row_light(row_light);
-        if self.config.chroma_subsample {
-            chroma_subsample_420(&mut pixels, width, rows);
-        }
-
-        let meta = FrameMeta {
-            index: self.frames_captured,
-            start_time,
-            exposure: settings.exposure,
-            iso: settings.iso,
-            row_time,
-        };
-        self.frames_captured += 1;
-        Frame::new_pooled(width, rows, pixels, meta, self.pool.clone())
     }
 
-    /// Capture `n` consecutive frames of a column-partitioned scene —
-    /// the multi-transmitter counterpart of [`CameraRig::capture_video`].
-    pub fn capture_video_scene<S: SceneRadiance + ?Sized>(
-        &mut self,
-        scene: &S,
-        start_time: f64,
-        n: usize,
-    ) -> Vec<Frame> {
-        let _span = obs::span!("camera.capture_video");
-        let mut frames = Vec::with_capacity(n);
-        for k in 0..n {
-            let t = start_time + k as f64 * self.device.frame_period();
-            let frame = self.capture_frame_scene(scene, t);
-            self.ae.observe(frame.mean_luma(), &self.device);
-            frames.push(frame);
-        }
-        frames
-    }
-
-    /// Capture a single frame of a column-partitioned scene beginning at
-    /// `start_time`.
-    ///
-    /// Instead of assuming one spatially uniform emitter, every ROI column
-    /// belongs to one of the scene's radiance regions: irradiance is
-    /// integrated per-(row, region), each region's scanline signal gets its
-    /// own channel's PSF blur, and the photosite loop looks its column's
-    /// region up in a per-frame map. Everything downstream — per-row noise
-    /// streams, demosaic, gamma — is shared with the classic path, so a
-    /// one-region scene ([`crate::UniformScene`]) reproduces
-    /// [`CameraRig::capture_frame`] byte for byte at every thread count
-    /// (the per-photosite float operations are identical, and noise derives
-    /// from `(seed, frame, row)`, never from the spatial layout).
-    pub fn capture_frame_scene<S: SceneRadiance + ?Sized>(
-        &mut self,
-        scene: &S,
-        start_time: f64,
-    ) -> Frame {
+    /// The capture kernel: render one frame of `scene` starting at
+    /// `start_time`. See [`CameraRig::capture_frame_scene`].
+    fn frame(&mut self, scene: &dyn SceneRadiance, start_time: f64) -> Frame {
         let _span = obs::span!("camera.capture_frame");
         obs::counter!("camera.frames");
         let rows = self.device.rows;
@@ -485,21 +365,27 @@ impl CameraRig {
         let regions = scene.region_count();
         assert!(regions >= 1, "a scene must have at least one region");
 
-        // Column → region map for this frame (the layout is static, but
-        // the map is cheap and keeps the trait surface minimal).
-        let col_region: Vec<usize> = (0..width)
-            .map(|c| {
-                let k = scene.region_of_column(c, width);
-                assert!(k < regions, "column {c} mapped to out-of-range region {k}");
-                k
-            })
-            .collect();
+        // Column runs: contiguous columns sharing a region. Rebuilt every
+        // frame (cheap) into a buffer that keeps its capacity.
+        self.runs.clear();
+        for c in 0..width {
+            let k = scene.region_of_column(c, width);
+            assert!(k < regions, "column {c} mapped to out-of-range region {k}");
+            match self.runs.last_mut() {
+                Some(run) if run.region == k => run.end = c + 1,
+                _ => self.runs.push(ColumnRun {
+                    start: c,
+                    end: c + 1,
+                    region: k,
+                }),
+            }
+        }
 
-        // Step 1: per-(row, region) mean irradiance over each row's
-        // exposure window, blurred along the row axis per region. Rows stay
-        // the parallel dimension; regions are few. Row buffers cycle
-        // through the frame pool exactly as in the classic path.
-        let mut region_light: Vec<Vec<Xyz>> = Vec::with_capacity(regions);
+        // Steps 1–2: per-(row, region) mean irradiance over each row's
+        // exposure window (rows are independent — row-parallel), then the
+        // region's PSF blur across rows (band-edge ISI). Scratch buffers
+        // come from the frame pool; every element is overwritten, so reuse
+        // needs no clearing.
         {
             let _stage = obs::span!("camera.rows_integrate");
             for k in 0..regions {
@@ -515,135 +401,109 @@ impl CameraRig {
                     .region_blur(k)
                     .convolve_rows_into(&light, &mut blurred);
                 self.pool.recycle_row_light(light);
-                region_light.push(blurred);
+                self.region_light.push(blurred);
             }
         }
 
-        // Step 2: per-(row, region) device RGB — the color transform and
-        // gamut compression hoisted out of the per-photosite loop exactly
-        // as the classic path hoists them per row.
-        let m = self.device.xyz_to_linear_srgb();
-        let mut rgb_table: Vec<[f64; 3]> = vec![[0.0; 3]; regions * rows];
-        for (k, table) in rgb_table.chunks_mut(rows).enumerate() {
-            let light = &region_light[k];
-            par_row_chunks(table, 1, threads, |first, chunk| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let rgb = LinearRgb::from_vec3(m.mul_vec(light[first + i].to_vec3()))
-                        .compress_into_gamut();
-                    *out = [rgb.r, rgb.g, rgb.b];
-                }
-            });
-        }
-
-        // The per-region scanline buffers are no longer needed once the
-        // RGB table exists — feed them back to the pool before the hot loop.
-        for light in region_light {
-            self.pool.recycle_row_light(light);
-        }
-
-        // Step 3: per-photosite capture, identical to the classic path
-        // except the channel triplet comes from the column's region.
+        // Step 3: per-photosite capture. The device sees the scene through
+        // its own color transform; noise applies per photosite in the
+        // mosaic domain; demosaic reconstructs RGB; gamma+quantize stores.
+        // Vignetting uses the cached row/column profiles, and only the
+        // mosaic-selected channel is scaled by it — the other two never
+        // leave the sensor.
         self.ensure_vig_cache(rows, width);
-        let seed = self.config.seed;
         let device = &self.device;
-        let (vrows, vcols) = (&self.vig.vrows[..], &self.vig.vcols[..]);
-        let (rgb_table, col_region) = (&rgb_table, &col_region);
-        let cfa_parity = {
-            let idx = |r: usize, c: usize| -> usize {
-                match device.cfa.channel_at(r, c) {
-                    CfaChannel::R => 0,
-                    CfaChannel::G => 1,
-                    CfaChannel::B => 2,
-                }
-            };
-            [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]]
-        };
+        let (vrows, vcols, vcols32) = (&self.vig.vrows, &self.vig.vcols, &self.vig.vcols32);
         let mut pixels: Vec<[u8; 3]> = self.pool.take_pixels(rows * width);
         if self.config.lane_f32 {
+            // The opt-in f32 lane path: same per-row streams, polynomial
+            // Box–Muller, folded exposure constants, f32 demosaic. The run's
+            // device RGB is still formed in f64 (cheap, and it keeps the
+            // only precision loss in the noise/exposure math the equivalence
+            // test bounds).
             let mut raw = self.pool.take_raw_f32(rows * width);
             {
                 let _stage = obs::span!("camera.mosaic");
                 let kernel = device
                     .sensor
                     .lane_kernel_f32(settings.exposure, settings.iso);
-                par_row_chunks(&mut raw, width, threads, |first, chunk| {
-                    let mut lanes = [0.0f32; NOISE_LANES];
-                    for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
-                        let r = first + i;
-                        let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
-                        let cfa_row = &cfa_parity[r & 1];
-                        let vrow = vrows[r];
-                        let mut base = 0usize;
-                        while base < width {
-                            let n = (width - base).min(NOISE_LANES);
-                            fill_normals_f32(&mut rng, &mut lanes[..n]);
-                            for (k, out) in row_raw[base..base + n].iter_mut().enumerate() {
-                                let c = base + k;
-                                let channels = &rgb_table[col_region[c] * rows + r];
-                                let sample =
-                                    (channels[cfa_row[c & 1]] * (vrow + vcols[c])).max(0.0);
-                                *out = kernel.expose(sample as f32, lanes[k]);
-                            }
-                            base += n;
-                        }
+                self.mosaic(&mut raw, threads, fill_normals_f32, |r, ch, c0, out, nz| {
+                    // Pairs start on even columns, so lane parity equals
+                    // column parity and the pair loop is straight-line f32
+                    // arithmetic; an odd-aligned run peels its first
+                    // photosite, an odd-ended one its last.
+                    let ch32 = [ch[0] as f32, ch[1] as f32];
+                    let vrow32 = vrows[r] as f32;
+                    let vseg = &vcols32[c0..c0 + out.len()];
+                    let px = |c: usize, vc: f32, z: f32| {
+                        kernel.expose((ch32[c & 1] * (vrow32 + vc)).max(0.0), z)
+                    };
+                    let lead = (c0 & 1).min(out.len());
+                    if lead == 1 {
+                        out[0] = px(c0, vseg[0], nz[0]);
+                    }
+                    let (out, vseg, nz) = (&mut out[lead..], &vseg[lead..], &nz[lead..]);
+                    for ((pair, vc), z) in out
+                        .chunks_exact_mut(2)
+                        .zip(vseg.chunks_exact(2))
+                        .zip(nz.chunks_exact(2))
+                    {
+                        pair[0] = kernel.expose((ch32[0] * (vrow32 + vc[0])).max(0.0), z[0]);
+                        pair[1] = kernel.expose((ch32[1] * (vrow32 + vc[1])).max(0.0), z[1]);
+                    }
+                    if out.len() & 1 == 1 {
+                        let k = out.len() - 1;
+                        out[k] = px(c0 + lead + k, vseg[k], nz[k]);
                     }
                 });
             }
             {
                 let _stage = obs::span!("camera.encode");
                 let quant = &self.quant_f32;
-                demosaic_bilinear_f32_with(&raw, width, rows, self.device.cfa, |px| {
+                demosaic_bilinear_f32_with(&raw, width, rows, device.cfa, |px| {
                     pixels.push(quant.encode_pixel(px));
                 });
             }
             self.pool.recycle_raw_f32(raw);
         } else {
+            // The reference f64 path.
             let mut raw = self.pool.take_raw_f64(rows * width);
             {
                 let _stage = obs::span!("camera.mosaic");
-                par_row_chunks(&mut raw, width, threads, |first, chunk| {
-                    let mut lanes = [0.0f64; NOISE_LANES];
-                    for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
-                        let r = first + i;
-                        let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
-                        let cfa_row = &cfa_parity[r & 1];
-                        let vrow = vrows[r];
-                        let mut base = 0usize;
-                        while base < width {
-                            let n = (width - base).min(NOISE_LANES);
-                            fill_normals(&mut rng, &mut lanes[..n]);
-                            for (k, out) in row_raw[base..base + n].iter_mut().enumerate() {
-                                let c = base + k;
-                                let channels = &rgb_table[col_region[c] * rows + r];
-                                let sample =
-                                    (channels[cfa_row[c & 1]] * (vrow + vcols[c])).max(0.0);
-                                *out = device.sensor.expose_with_noise(
-                                    sample,
-                                    settings.exposure,
-                                    settings.iso,
-                                    lanes[k],
-                                );
-                            }
-                            base += n;
-                        }
+                self.mosaic(&mut raw, threads, fill_normals, |r, ch, c0, out, nz| {
+                    let vrow = vrows[r];
+                    for (k, (o, &z)) in out.iter_mut().zip(nz).enumerate() {
+                        let c = c0 + k;
+                        let sample = (ch[c & 1] * (vrow + vcols[c])).max(0.0);
+                        *o = device.sensor.expose_with_noise(
+                            sample,
+                            settings.exposure,
+                            settings.iso,
+                            z,
+                        );
                     }
                 });
             }
+            // Demosaic and gamma encoding fuse into one streaming pass —
+            // the full-RGB plane never materializes.
             {
                 let _stage = obs::span!("camera.encode");
                 let quant = &self.quant;
-                demosaic_bilinear_with(&raw, width, rows, self.device.cfa, |px| {
+                demosaic_bilinear_with(&raw, width, rows, device.cfa, |px| {
                     pixels.push(quant.encode_pixel(px));
                 });
             }
             self.pool.recycle_raw_f64(raw);
+        }
+        for light in self.region_light.drain(..) {
+            self.pool.recycle_row_light(light);
         }
         if self.config.chroma_subsample {
             chroma_subsample_420(&mut pixels, width, rows);
         }
 
         let meta = FrameMeta {
-            index: self.frames_captured,
+            index: frame_index,
             start_time,
             exposure: settings.exposure,
             iso: settings.iso,
@@ -653,45 +513,75 @@ impl CameraRig {
         Frame::new_pooled(width, rows, pixels, meta, self.pool.clone())
     }
 
-    /// Warm the auto-exposure controller on a column-partitioned scene —
-    /// the multi-transmitter counterpart of [`CameraRig::settle_exposure`].
-    pub fn settle_exposure_scene<S: SceneRadiance + ?Sized>(
-        &mut self,
-        scene: &S,
-        max_frames: usize,
-    ) {
-        let _span = obs::span!("camera.settle_exposure");
-        let mut last = f64::NAN;
-        for k in 0..max_frames {
-            let t = k as f64 * self.device.frame_period();
-            let frame = self.capture_frame_scene(scene, t);
-            let luma = frame.mean_luma();
-            self.ae.observe(luma, &self.device);
-            if (0.1..=0.9).contains(&luma) && (luma - last).abs() < 0.01 {
-                break;
+    /// The photosite loop both precisions share: fill the `roi_width`-strided
+    /// raw plane row-parallel. Each row draws its noise from its own RNG
+    /// stream keyed on (seed, frame, row), so the bytes are identical at
+    /// every thread count, in [`NOISE_LANES`]-wide chunks filled by `fill`
+    /// whose boundaries depend only on the column, never on the runs. Each
+    /// (row, run) gets its device RGB once, and `expose(row, ch, first_col,
+    /// out, noise)` writes each stretch of photosites sharing one run and
+    /// one lane chunk, where `ch[c & 1]` is the channel the row's CFA
+    /// samples at column `c`.
+    fn mosaic<T, F, E>(&self, raw: &mut [T], threads: usize, fill: F, expose: E)
+    where
+        T: Copy + Default + Send,
+        F: Fn(&mut StdRng, &mut [T]) + Sync,
+        E: Fn(usize, [f64; 2], usize, &mut [T], &[T]) + Sync,
+    {
+        let width = self.config.roi_width;
+        let (seed, frame_index) = (self.config.seed, self.frames_captured);
+        let m = self.device.xyz_to_linear_srgb();
+        // The mosaic channel depends only on (row % 2, col % 2); hoist the
+        // CFA dispatch into a parity table so the loop indexes instead of
+        // matching per pixel.
+        let cfa = self.device.cfa;
+        let idx = |r: usize, c: usize| -> usize {
+            match cfa.channel_at(r, c) {
+                CfaChannel::R => 0,
+                CfaChannel::G => 1,
+                CfaChannel::B => 2,
             }
-            last = luma;
-        }
-    }
-
-    /// Warm the auto-exposure controller on a scene until it settles
-    /// (real apps do this during the first second of preview). Captures
-    /// and discards up to `max_frames` frames.
-    pub fn settle_exposure(&mut self, emitter: &LedEmitter, max_frames: usize) {
-        let _span = obs::span!("camera.settle_exposure");
-        let mut last = f64::NAN;
-        for k in 0..max_frames {
-            let t = k as f64 * self.device.frame_period();
-            let frame = self.capture_frame(emitter, t);
-            let luma = frame.mean_luma();
-            self.ae.observe(luma, &self.device);
-            // Converged only once the meter is in its informative range —
-            // a clipped reading that hasn't moved is not convergence.
-            if (0.1..=0.9).contains(&luma) && (luma - last).abs() < 0.01 {
-                break;
+        };
+        let cfa_parity = [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]];
+        let (runs, region_light) = (&self.runs, &self.region_light);
+        par_row_chunks(raw, width, threads, |first, chunk| {
+            let mut lanes = [T::default(); NOISE_LANES];
+            for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
+                let r = first + i;
+                let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
+                let cfa_row = cfa_parity[r & 1];
+                // The lane chunk currently filled: columns [base, base + n).
+                let (mut base, mut n) = (0usize, 0usize);
+                for run in runs {
+                    // ISP gamut mapping: scene colors more saturated than
+                    // the output space are desaturated toward neutral, not
+                    // hard-clipped (hard clipping would collapse distinct
+                    // saturated colors).
+                    let rgb =
+                        LinearRgb::from_vec3(m.mul_vec(region_light[run.region][r].to_vec3()))
+                            .compress_into_gamut();
+                    let rgb = [rgb.r, rgb.g, rgb.b];
+                    let ch = [rgb[cfa_row[0]], rgb[cfa_row[1]]];
+                    let mut c = run.start;
+                    while c < run.end {
+                        if c == base + n {
+                            base += n;
+                            n = (width - base).min(NOISE_LANES);
+                            fill(&mut rng, &mut lanes[..n]);
+                        }
+                        let stop = run.end.min(base + n);
+                        expose(
+                            r,
+                            ch,
+                            c,
+                            &mut row_raw[c..stop],
+                            &lanes[c - base..stop - base],
+                        );
+                        c = stop;
+                    }
+                }
             }
-            last = luma;
-        }
+        });
     }
 
     /// Resolve the configured thread count: `0` → one per available core,
@@ -922,9 +812,7 @@ mod tests {
                 ..Default::default()
             };
             let mut rig = CameraRig::new(DeviceProfile::nexus5(), OpticalChannel::ideal(), cfg);
-            let mut d = rig.device.clone();
-            d.rows = 64;
-            rig.device = d;
+            rig.capture.device.rows = 64;
             rig.set_exposure_controller(AutoExposure::locked(crate::exposure::ExposureSettings {
                 exposure: 40e-6,
                 iso: 100.0,
@@ -970,10 +858,11 @@ mod tests {
     #[test]
     fn uniform_scene_capture_is_byte_identical_to_classic_path() {
         // THE single-emitter equivalence guarantee: capturing a one-region
-        // scene must reproduce the classic capture_frame path byte for
+        // scene must reproduce the single-emitter entry points byte for
         // byte, at every thread count, with auto-exposure history and
-        // frame indices in play. This is what keeps every seed result
-        // (fig9/fig10/fig11/table1) unchanged under the scene refactor.
+        // frame indices in play. Both run the one capture kernel, so this
+        // pins the wrappers and the thread schedule; the golden digests in
+        // tests/golden_capture.rs pin the bytes themselves.
         use crate::scene::UniformScene;
         let mut d = test_device(67);
         d.readout_time = 1.0e-3;
@@ -1018,8 +907,31 @@ mod tests {
             assert_eq!(
                 capture(threads, true),
                 reference,
-                "one-region scene diverged from the classic path at threads={threads}"
+                "one-region scene diverged from the single-emitter capture at threads={threads}"
             );
+        }
+    }
+
+    /// Two emitters side by side behind one channel: columns below `split`
+    /// show `emitters[0]`, the rest `emitters[1]`.
+    struct SplitScene {
+        emitters: [LedEmitter; 2],
+        channel: OpticalChannel,
+        split: usize,
+    }
+
+    impl SceneRadiance for SplitScene {
+        fn region_count(&self) -> usize {
+            2
+        }
+        fn region_of_column(&self, col: usize, _width: usize) -> usize {
+            usize::from(col >= self.split)
+        }
+        fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz {
+            self.channel.received_mean(&self.emitters[region], t0, t1)
+        }
+        fn region_blur(&self, _region: usize) -> &colorbars_channel::BlurKernel {
+            self.channel.blur()
         }
     }
 
@@ -1027,48 +939,15 @@ mod tests {
     fn scene_regions_partition_the_frame() {
         // A two-region scene: left half red emitter, right half dark. The
         // column partition must be visible in the stored pixels.
-        use crate::scene::SceneRadiance;
-        use colorbars_channel::BlurKernel;
-        struct HalfScene {
-            emitter: LedEmitter,
-            channel: OpticalChannel,
-            dark_blur: BlurKernel,
-        }
-        impl SceneRadiance for HalfScene {
-            fn region_count(&self) -> usize {
-                2
-            }
-            fn region_of_column(&self, col: usize, width: usize) -> usize {
-                usize::from(col >= width / 2)
-            }
-            fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz {
-                if region == 0 {
-                    self.channel.received_mean(&self.emitter, t0, t1)
-                } else {
-                    Xyz::BLACK
-                }
-            }
-            fn region_blur(&self, region: usize) -> &BlurKernel {
-                if region == 0 {
-                    self.channel.blur()
-                } else {
-                    &self.dark_blur
-                }
-            }
-        }
         let led = TriLed::typical();
         let red = led.solve_drive(led.gamut().red, 0.08).unwrap();
-        let scene = HalfScene {
-            emitter: LedEmitter::new(
-                led,
-                200_000.0,
-                &[ScheduledColor {
-                    drive: red,
-                    duration: 1.0,
-                }],
-            ),
+        let scene = SplitScene {
+            emitters: [
+                constant_emitter(red, 1.0),
+                constant_emitter(DriveLevels::OFF, 1.0),
+            ],
             channel: OpticalChannel::ideal(),
-            dark_blur: BlurKernel::identity(),
+            split: 8,
         };
         let cfg = CaptureConfig {
             roi_width: 16,
@@ -1097,9 +976,19 @@ mod tests {
         // it must track the f64 reference frame pixel by pixel — bytes a
         // quantization step or two apart, never a different image. (Bit
         // identity is deliberately NOT required here; the obs-diff noise
-        // band gate covers the end-to-end metrics.)
+        // band gate covers the end-to-end metrics.) Two inputs: a uniform
+        // emitter, and a two-region scene whose boundary falls on an odd
+        // column, so the f32 loop's odd-aligned run start is covered.
         let e = constant_emitter(DriveLevels::new(0.4, 0.6, 0.3), 1.0);
-        let capture = |lane_f32: bool| {
+        let scene = SplitScene {
+            emitters: [
+                e.clone(),
+                constant_emitter(DriveLevels::new(0.6, 0.2, 0.5), 1.0),
+            ],
+            channel: OpticalChannel::paper_setup(),
+            split: 7,
+        };
+        let capture = |lane_f32: bool, two_regions: bool| {
             let cfg = CaptureConfig {
                 roi_width: 16,
                 vignette: Vignette::typical(),
@@ -1113,27 +1002,39 @@ mod tests {
                 exposure: 40e-6,
                 iso: 400.0,
             }));
-            rig.capture_video(&e, 0.0, 2)
+            if two_regions {
+                rig.capture_video_scene(&scene, 0.0, 2)
+            } else {
+                rig.capture_video(&e, 0.0, 2)
+            }
         };
-        let reference = capture(false);
-        let fast = capture(true);
-        let (mut n, mut sum_abs, mut max_abs) = (0u64, 0u64, 0i64);
-        for (a, b) in fast.iter().zip(&reference) {
-            assert_eq!(a.meta, b.meta, "metadata must not depend on the path");
-            for r in 0..a.height() {
-                for (pa, pb) in a.row(r).iter().zip(b.row(r)) {
-                    for ch in 0..3 {
-                        let d = (pa[ch] as i64 - pb[ch] as i64).abs();
-                        sum_abs += d as u64;
-                        max_abs = max_abs.max(d);
-                        n += 1;
+        for two_regions in [false, true] {
+            let reference = capture(false, two_regions);
+            let fast = capture(true, two_regions);
+            let (mut n, mut sum_abs, mut max_abs) = (0u64, 0u64, 0i64);
+            for (a, b) in fast.iter().zip(&reference) {
+                assert_eq!(a.meta, b.meta, "metadata must not depend on the path");
+                for r in 0..a.height() {
+                    for (pa, pb) in a.row(r).iter().zip(b.row(r)) {
+                        for ch in 0..3 {
+                            let d = (pa[ch] as i64 - pb[ch] as i64).abs();
+                            sum_abs += d as u64;
+                            max_abs = max_abs.max(d);
+                            n += 1;
+                        }
                     }
                 }
             }
+            let mean_abs = sum_abs as f64 / n as f64;
+            assert!(
+                mean_abs < 1.5,
+                "mean |Δbyte| {mean_abs} (two_regions={two_regions})"
+            );
+            assert!(
+                max_abs <= 32,
+                "max |Δbyte| {max_abs} (two_regions={two_regions})"
+            );
         }
-        let mean_abs = sum_abs as f64 / n as f64;
-        assert!(mean_abs < 1.5, "mean |Δbyte| {mean_abs}");
-        assert!(max_abs <= 32, "max |Δbyte| {max_abs}");
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Spatial scenes: what the sensor sees when the frame is *not* filled by
-//! one uniform emitter.
+//! Spatial scenes: what the sensor sees, as the capture kernel renders it.
 //!
-//! The classic ColorBars setup points the camera at a single tri-LED that
-//! fills the ROI, so every column of a scanline integrates the same light
-//! and the capture loop samples irradiance once per row. A *scene*
-//! generalizes this to a column-partitioned image plane: each contiguous
-//! span of columns (a **region**) carries its own time-varying radiance —
-//! one LED transmitter per span, dark guard gaps between spans, background
-//! ambient elsewhere.
+//! The ColorBars setup points the camera at a single tri-LED that fills
+//! the ROI, so every column of a scanline integrates the same light. A
+//! *scene* generalizes this to a column-partitioned image plane: each
+//! contiguous span of columns (a **region**) carries its own time-varying
+//! radiance — one LED transmitter per span, dark guard gaps between spans,
+//! background ambient elsewhere.
 //!
 //! [`SceneRadiance`] is the substrate contract: the rig asks the scene how
 //! many distinct radiance regions exist, which region each ROI column
 //! belongs to, the mean irradiance of a region over an exposure window,
 //! and the row-axis blur kernel to apply to that region's band structure.
-//! [`crate::CameraRig::capture_frame_scene`] then samples per-(row, region)
-//! instead of per-row.
+//! [`crate::CameraRig::capture_frame_scene`] — the rig's only frame
+//! renderer — samples per (row, region).
 //!
 //! [`UniformScene`] adapts the single emitter + channel pair to a
-//! one-region scene. It is the bridge used by the equivalence tests: a
-//! uniform scene must produce **byte-identical** frames to the classic
-//! [`crate::CameraRig::capture_frame`] path at every thread count, because
-//! it performs exactly the same floating-point operations per photosite.
+//! one-region scene: [`crate::CameraRig::capture_frame`] and the other
+//! single-emitter entry points wrap their emitter in one and call the
+//! scene kernel. A one-region scene samples irradiance once per row, so it
+//! is byte-identical at every thread count to any other one-region scene
+//! over the same emitter and channel.
 
 use colorbars_channel::{BlurKernel, OpticalChannel};
 use colorbars_color::Xyz;
@@ -52,13 +51,12 @@ pub trait SceneRadiance: Sync {
 }
 
 /// The trivial one-region scene: a single emitter behind a single optical
-/// channel filling every column — the classic ColorBars geometry expressed
-/// through the scene interface.
+/// channel filling every column — the ColorBars geometry expressed through
+/// the scene interface.
 ///
-/// Capturing a `UniformScene` is guaranteed byte-identical to capturing
-/// its emitter through [`crate::CameraRig::capture_frame`]: both paths
-/// evaluate `channel.received_mean(emitter, ..)` once per row, apply the
-/// same blur, and run the same per-photosite pipeline in the same order.
+/// This is what [`crate::CameraRig::capture_frame`] renders: capturing a
+/// `UniformScene` through [`crate::CameraRig::capture_frame_scene`] is
+/// byte-identical to capturing its emitter with the rig's own channel.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformScene<'a> {
     emitter: &'a LedEmitter,

@@ -57,14 +57,14 @@ pub use calibration::ReferenceStore;
 pub use classify::Label;
 pub use config::LinkConfig;
 pub use constellation::{Constellation, CskOrder};
-pub use equalizer::{Equalizer, EqualizerKind, TrainedEqualizer};
+pub use equalizer::{EqualizerKind, TrainedEqualizer};
 pub use error::LinkError;
 pub use illumination::{is_white_position, WhiteRatioTable};
 pub use link::{compute_metrics, start_phase, CapturedRun, LinkMetrics, LinkSimulator};
 pub use packet::{Packet, PacketKind};
 pub use pool::{run_pool, sweep_threads};
 pub use receiver::{Receiver, ReceiverReport};
-pub use replay::ReplayLink;
+pub use replay::{ReplayError, ReplayLink};
 pub use session::{LinkSession, SessionConfig, DEFAULT_QUEUE_CAPACITY};
 pub use symbol::{Symbol, SymbolMapper};
 pub use transmitter::{Transmission, Transmitter};

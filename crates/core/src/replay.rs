@@ -87,6 +87,37 @@ pub fn context_json(
     ])
 }
 
+/// Why a recorded replay context cannot be rebuilt into a [`ReplayLink`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// A field is missing or malformed, or the context describes a link
+    /// this build cannot realize.
+    Context(String),
+    /// The context names an equalizer this build does not implement.
+    /// Replaying it as nearest-neighbor would silently diverge from the
+    /// recorded verdicts.
+    UnknownEqualizer(String),
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Context(msg) => f.write_str(msg),
+            ReplayError::UnknownEqualizer(name) => {
+                write!(f, "replay context names unknown equalizer kind `{name}`")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+impl From<String> for ReplayError {
+    fn from(msg: String) -> Self {
+        ReplayError::Context(msg)
+    }
+}
+
 /// A decode pipeline rebuilt from a recorded replay context: the same
 /// constellation, RS code, white ratio, and erasure policy the live
 /// receiver ran with.
@@ -103,9 +134,11 @@ pub struct ReplayLink {
 
 impl ReplayLink {
     /// Rebuild the decode configuration from a flight-dump context object.
-    /// Fails with a description when the context is missing fields, names
-    /// an unknown modulation order, or describes an unrealizable link.
-    pub fn from_context(ctx: &obs::Value) -> Result<ReplayLink, String> {
+    /// Fails with [`ReplayError::Context`] when the context is missing
+    /// fields, names an unknown modulation order, or describes an
+    /// unrealizable link, and with [`ReplayError::UnknownEqualizer`] when it
+    /// names an equalizer this build does not implement.
+    pub fn from_context(ctx: &obs::Value) -> Result<ReplayLink, ReplayError> {
         let u = |key: &str| -> Result<u64, String> {
             ctx.get(key)
                 .and_then(|v| v.as_u64())
@@ -152,10 +185,10 @@ impl ReplayLink {
         let white_ratio = config.white_ratio();
         let recorded_ratio = f("white_ratio")?;
         if (white_ratio - recorded_ratio).abs() > 1e-9 {
-            return Err(format!(
+            return Err(ReplayError::Context(format!(
                 "white-ratio mismatch: derived {white_ratio}, recorded {recorded_ratio} \
                  — the dump was written by an incompatible build"
-            ));
+            )));
         }
         let references = ctx
             .get("references")
@@ -174,12 +207,18 @@ impl ReplayLink {
             })
             .unwrap_or_default();
         // Equalizer fields are optional: pre-equalizer dumps (and plain
-        // nearest-neighbor links) replay exactly as before.
-        let eq_kind = ctx
-            .get("equalizer_kind")
-            .and_then(|v| v.as_str())
-            .and_then(EqualizerKind::from_name)
-            .unwrap_or(EqualizerKind::NearestNeighbor);
+        // nearest-neighbor links) replay exactly as before. A kind that is
+        // present but unknown is an error, never a nearest-neighbor fallback.
+        let eq_kind = match ctx.get("equalizer_kind") {
+            None => EqualizerKind::NearestNeighbor,
+            Some(v) => {
+                let name = v.as_str().ok_or_else(|| {
+                    "replay context field `equalizer_kind` is not a string".to_string()
+                })?;
+                EqualizerKind::from_name(name)
+                    .ok_or_else(|| ReplayError::UnknownEqualizer(name.to_string()))?
+            }
+        };
         let equalizer = if eq_kind == EqualizerKind::NearestNeighbor {
             None
         } else {
@@ -376,7 +415,33 @@ mod tests {
             obs::Value::from(5u64),
         )]))
         .unwrap_err();
-        assert!(err.contains("unknown CSK order") || err.contains("missing"));
+        let msg = err.to_string();
+        assert!(msg.contains("unknown CSK order") || msg.contains("missing"));
+    }
+
+    #[test]
+    fn unknown_equalizer_kind_is_a_typed_error_not_a_fallback() {
+        let config = LinkConfig::paper_default(CskOrder::Csk8, 2000.0, 0.2312);
+        let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
+        let store = ReferenceStore::ideal(&mapper);
+        let ctx = context_json(&config, true, true, &store, None);
+        // A dump from a build with a learner this one lacks.
+        let mut foreign = ctx.clone();
+        foreign.insert("equalizer_kind", obs::Value::from("mlp"));
+        assert_eq!(
+            ReplayLink::from_context(&foreign).unwrap_err(),
+            ReplayError::UnknownEqualizer("mlp".to_string())
+        );
+        // A dump without the field still replays as nearest-neighbor.
+        let legacy = obs::Value::object(
+            ctx.as_object()
+                .unwrap()
+                .iter()
+                .filter(|(k, _)| *k != "equalizer_kind")
+                .map(|(k, v)| (k.clone(), v.clone())),
+        );
+        let link = ReplayLink::from_context(&legacy).expect("legacy dump replays");
+        assert!(link.equalizer().is_none());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   attenuation, ambient), with guard gaps and optional bleed between
 //!   adjacent spans. `Scene` implements the camera substrate's
 //!   [`colorbars_camera::SceneRadiance`] contract, so
-//!   [`colorbars_camera::CameraRig::capture_frame_scene`] renders it with
-//!   the full sensor model. A one-transmitter, zero-guard, zero-bleed
-//!   scene is byte-identical to the classic single-emitter capture path.
+//!   [`colorbars_camera::CameraRig::capture_frame_scene`] — the rig's one
+//!   capture kernel, which also renders every single-emitter frame —
+//!   renders it with the full sensor model. A one-transmitter, zero-guard,
+//!   zero-bleed scene is byte-identical to a single-emitter capture.
 //! * [`segment`] — the receive-side column segmentation stage: temporal
 //!   variance across a frame window locates each transmitter's column
 //!   span, without knowledge of the layout.

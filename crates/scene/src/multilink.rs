@@ -6,7 +6,7 @@
 //!    LED schedule (shared link configuration, per-transmitter payloads).
 //! 2. [`Scene`] composes the emitters onto the image plane; one
 //!    [`colorbars_camera::CameraRig`] captures the composite with the full
-//!    sensor model (`capture_video_scene`).
+//!    sensor model (`capture_video_scene`, the rig's one capture kernel).
 //! 3. The receive side segments the columns ([`segment_columns`]) with no
 //!    knowledge of the layout, instantiates one [`Receiver`] per detected
 //!    region, and fans the per-region decodes out through the bounded

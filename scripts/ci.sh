@@ -20,6 +20,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> decodebench self-tests (chunk, score and stream-vs-batch checks)"
+# The benchmark is a workspace of its own, so the workspace test run above
+# does not reach it.
+cargo test --release --offline --manifest-path decodebench/Cargo.toml
+
 echo "==> cargo bench --no-run (bench harnesses compile)"
 cargo bench --workspace --no-run
 
