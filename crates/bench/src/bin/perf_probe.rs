@@ -10,6 +10,11 @@
 //! f64 reference capture, row-parallel vs serial capture, pooled vs fresh
 //! frame buffers), and prints one JSON object. `--smoke` shrinks every
 //! repetition count so CI can run it in seconds.
+//!
+//! The `decode_*` fields time the receive side, in seconds per frame, on
+//! captured Nexus 5 3264×24 frames of a coded 8-CSK transmission at 3 kHz:
+//! the row reduction (`row_signal`) alone, and the whole
+//! `Receiver::process_frame`.
 
 use colorbars_bench::{run_point, SweepMode};
 use colorbars_camera::{
@@ -17,7 +22,8 @@ use colorbars_camera::{
 };
 use colorbars_channel::OpticalChannel;
 use colorbars_color::{LinearRgb, Srgb, SrgbQuantizer};
-use colorbars_core::CskOrder;
+use colorbars_core::segmentation::row_signal;
+use colorbars_core::{CskOrder, LinkConfig, LinkSimulator};
 use colorbars_led::{DriveLevels, LedEmitter, ScheduledColor, TriLed};
 use colorbars_obs::Value;
 use std::time::Instant;
@@ -209,6 +215,45 @@ fn main() {
     fields.push(("run_point_csk8_3khz_s", Value::from(point_s)));
     fields.push(("run_point_f64_s", Value::from(point_f64_s)));
     fields.push(("run_point_f32_speedup", Value::from(point_f64_s / point_s)));
+
+    // Receive side: per-frame row reduction and full `process_frame` over a
+    // run of distinct captured frames (a repeated frame would flatter any
+    // per-pixel memo), serial capture on the f64 reference path.
+    let sim = LinkSimulator::new(
+        LinkConfig::paper_default(CskOrder::Csk8, 3000.0, device.loss_ratio()),
+        device.clone(),
+        OpticalChannel::paper_setup(),
+        CaptureConfig {
+            seed: 7,
+            threads: 1,
+            lane_f32: false,
+            ..CaptureConfig::default()
+        },
+    )
+    .expect("the paper's 8-CSK point is realizable");
+    let payload = sim
+        .random_payload(if smoke { 0.1 } else { 0.4 }, 11)
+        .expect("payload");
+    let run = sim.prepare_data(&payload).expect("capture");
+    let frames = run.frames.len().max(1) as f64;
+    let row_s = time(reps, || {
+        for f in &run.frames {
+            std::hint::black_box(row_signal(f));
+        }
+    });
+    let mut receivers: Vec<_> = (0..reps)
+        .map(|_| sim.receiver().expect("receiver"))
+        .collect();
+    let process_s = time(reps, || {
+        let mut rx = receivers.pop().expect("one receiver per run");
+        for f in &run.frames {
+            rx.process_frame(f);
+        }
+        std::hint::black_box(rx);
+    });
+    fields.push(("decode_frames", Value::from(run.frames.len())));
+    fields.push(("decode_row_signal_s", Value::from(row_s / frames)));
+    fields.push(("decode_process_frame_s", Value::from(process_s / frames)));
 
     println!("{}", Value::object(fields).to_compact());
 }

@@ -33,10 +33,20 @@ impl Lab {
 
     /// Convert an XYZ color to Lab relative to `white` (normally
     /// [`Xyz::D65_WHITE`] scaled to the scene's reference luminance).
+    ///
+    /// The cube root is libm's `cbrt`; this is the reference that
+    /// [`srgb_row_mean`] reproduces bit for bit on stored pixels.
     pub fn from_xyz(xyz: Xyz, white: Xyz) -> Lab {
-        let fx = lab_f(safe_div(xyz.x, white.x));
-        let fy = lab_f(safe_div(xyz.y, white.y));
-        let fz = lab_f(safe_div(xyz.z, white.z));
+        Lab::from_f(
+            lab_f(safe_div(xyz.x, white.x)),
+            lab_f(safe_div(xyz.y, white.y)),
+            lab_f(safe_div(xyz.z, white.z)),
+        )
+    }
+
+    /// Lab from the companded ratios `f(X/Xn)`, `f(Y/Yn)`, `f(Z/Zn)`.
+    #[inline(always)]
+    fn from_f(fx: f64, fy: f64, fz: f64) -> Lab {
         Lab {
             l: 116.0 * fy - 16.0,
             a: 500.0 * (fx - fy),
@@ -181,12 +191,162 @@ pub fn delta_e2000(x: Lab, y: Lab) -> f64 {
 }
 
 const DELTA: f64 = 6.0 / 29.0;
+/// Where `lab_f` switches from its linear toe to the cube root.
+const F_KNEE: f64 = DELTA * DELTA * DELTA;
+/// Slope divisor of `lab_f`'s linear toe.
+const F_TOE: f64 = 3.0 * DELTA * DELTA;
 
 fn lab_f(t: f64) -> f64 {
-    if t > DELTA * DELTA * DELTA {
+    if t > F_KNEE {
         t.cbrt()
     } else {
-        t / (3.0 * DELTA * DELTA) + 4.0 / 29.0
+        t / F_TOE + 4.0 / 29.0
+    }
+}
+
+/// `∛t` for finite `t ≥ F_KNEE` from straight-line arithmetic that
+/// vectorizes (libm's `cbrt` is an opaque call per lane), plus whether the
+/// result might not be the nearest double.
+///
+/// A bit-trick guess (the high word divided by three and re-biased: ~5
+/// good bits) is refined by two Halley steps (cubic convergence: ~15 then
+/// ~47 bits) and one Newton step whose residual `y³ − t` is computed in
+/// double-double with `mul_add` ([`cube_residual`]). The exact Newton
+/// value `x = y − d` lies within ~2⁻⁴¹ ulp of `∛t` (the step squares the
+/// ~2⁻⁴⁷ error, and `d` is accurate to a few roundings of itself), so
+/// `s = RN(x)` is the nearest double to `∛t` unless `x` sits that close to
+/// a rounding boundary. Fast2Sum gives `x = s + e` exactly, and nudging
+/// `e` outward by 2⁻²⁰ of itself moves `x` across a boundary only when it
+/// is within ~2⁻²¹ ulp of one — a million times wider than the error — so
+/// `s` is flagged whenever it could be wrong, and otherwise is exact. (On
+/// the receiver's 50 M distinct inputs the flag is raised 48 times.)
+#[inline(always)]
+fn cbrt_newton(t: f64) -> (f64, bool) {
+    let hi = (t.to_bits() >> 32) as u32;
+    let mut y = f64::from_bits(u64::from(hi / 3 + 715_094_163) << 32);
+    for _ in 0..2 {
+        let y3 = y * y * y;
+        y *= (y3 + 2.0 * t) / (2.0 * y3 + t);
+    }
+    let d = cube_residual(y, t) / (3.0 * y * y);
+    let s = y - d;
+    let e = (y - s) - d;
+    (s, e.mul_add(1.0 + 1.0 / 1_048_576.0, s) != s)
+}
+
+/// The double nearest to `∛t` given `y` within one ulp of it: `y` or its
+/// neighbour on the far side of `∛t`, whichever has the smaller
+/// `|y³ − t|`. This can only go wrong when `∛t` lies within about 2⁻⁵² ulp
+/// of a midpoint between two doubles.
+fn nearest_of_neighbours(y: f64, t: f64) -> f64 {
+    let r = cube_residual(y, t);
+    // t > 0, so y is a positive normal double and its bits are monotone.
+    let bits = y.to_bits();
+    let other = f64::from_bits(if r > 0.0 { bits - 1 } else { bits + 1 });
+    if cube_residual(other, t).abs() < r.abs() {
+        other
+    } else {
+        y
+    }
+}
+
+/// `y³ − t`, with `y³` carried in double-double so the difference is
+/// accurate to a rounding of itself when `y ≈ ∛t`.
+#[inline(always)]
+fn cube_residual(y: f64, t: f64) -> f64 {
+    let y2 = y * y;
+    let y2_lo = y.mul_add(y, -y2);
+    let y3 = y2 * y;
+    let y3_lo = y2.mul_add(y, -y3);
+    (y3 - t) + y2_lo.mul_add(y, y3_lo)
+}
+
+/// Pixels the row kernel converts per pass: three `[f64; ROW_CHUNK]`
+/// stacks of companded ratios (768 bytes).
+const ROW_CHUNK: usize = 32;
+/// The row kernel's vector block; divides [`ROW_CHUNK`].
+const LANES: usize = 8;
+
+/// The mean CIELAB value of a row of stored sRGB pixels: the receiver's
+/// row reduction (paper Section 7, Steps 1–2).
+///
+/// Bit-identical to converting each pixel with
+/// `Lab::from_xyz(SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)`,
+/// summing `L`, `a` and `b` in pixel order and dividing by the row length.
+/// The arithmetic is the same operation for operation; only the cube root
+/// is computed differently: in vectorizable arithmetic that returns the
+/// double nearest to `∛t`, which is also what libm's `cbrt` returns on
+/// every input a byte pixel can produce (a unit test walks all 2²⁴). The
+/// kernel keeps no state and allocates nothing: pixels are converted in
+/// 32-pixel chunks on the stack. An empty row has no mean (all components
+/// NaN).
+pub fn srgb_row_mean(row: &[[u8; 3]]) -> Lab {
+    let (mut l, mut a, mut b) = (0.0, 0.0, 0.0);
+    for_each_srgb_lab(row, |lab| {
+        l += lab.l;
+        a += lab.a;
+        b += lab.b;
+    });
+    let n = row.len() as f64;
+    Lab::new(l / n, a / n, b / n)
+}
+
+/// [`lab_f`] over the first `n` entries of `f`, in place, with the cube
+/// root of [`cbrt_newton`] in place of libm's.
+///
+/// Work goes in whole blocks of [`LANES`], each one straight run of vector
+/// instructions with no scalar remainder loop: entries past `n` are stale
+/// but finite, and their results are never read. Both arms of `lab_f` are
+/// computed and one is selected per lane. A block in which any root was
+/// flagged as possibly not the nearest double settles its roots with
+/// [`nearest_of_neighbours`] — a rare scalar pass.
+#[inline(always)]
+fn lab_f_blocks(f: &mut [f64; ROW_CHUNK], n: usize) {
+    for block in f[..n.next_multiple_of(LANES)].chunks_exact_mut(LANES) {
+        let ts: [f64; LANES] = (&*block).try_into().expect("a whole block");
+        let mut near_tie = false;
+        for (f, &t) in block.iter_mut().zip(&ts) {
+            let (root, flagged) = cbrt_newton(t.max(F_KNEE));
+            let toe = t / F_TOE + 4.0 / 29.0;
+            near_tie |= flagged & (t > F_KNEE);
+            *f = if t > F_KNEE { root } else { toe };
+        }
+        if near_tie {
+            for (f, &t) in block.iter_mut().zip(&ts) {
+                if t > F_KNEE {
+                    *f = nearest_of_neighbours(*f, t);
+                }
+            }
+        }
+    }
+}
+
+/// Visit the Lab value of every pixel of `row`, in order.
+///
+/// Each chunk runs as separate loops (decode to white-relative XYZ, then
+/// `lab_f` over X, over Y, over Z) so each channel's loop vectorizes on
+/// its own; the visits come last, in pixel order.
+#[inline(always)]
+fn for_each_srgb_lab(row: &[[u8; 3]], mut visit: impl FnMut(Lab)) {
+    let lut = crate::rgb::SrgbToXyzLut::srgb();
+    let white = Xyz::D65_WHITE;
+    let mut fx = [0.0f64; ROW_CHUNK];
+    let mut fy = [0.0f64; ROW_CHUNK];
+    let mut fz = [0.0f64; ROW_CHUNK];
+    for chunk in row.chunks(ROW_CHUNK) {
+        let n = chunk.len();
+        for (i, &px) in chunk.iter().enumerate() {
+            let xyz = lut.xyz_of(px);
+            fx[i] = safe_div(xyz.x, white.x);
+            fy[i] = safe_div(xyz.y, white.y);
+            fz[i] = safe_div(xyz.z, white.z);
+        }
+        lab_f_blocks(&mut fx, n);
+        lab_f_blocks(&mut fy, n);
+        lab_f_blocks(&mut fz, n);
+        for i in 0..n {
+            visit(Lab::from_f(fx[i], fy[i], fz[i]));
+        }
     }
 }
 
@@ -194,7 +354,7 @@ fn lab_f_inv(t: f64) -> f64 {
     if t > DELTA {
         t * t * t
     } else {
-        3.0 * DELTA * DELTA * (t - 4.0 / 29.0)
+        F_TOE * (t - 4.0 / 29.0)
     }
 }
 
@@ -206,115 +366,97 @@ fn safe_div(n: f64, d: f64) -> f64 {
     }
 }
 
-/// Exact memoized byte-pixel → CIELAB conversion for the receiver hot path.
-///
-/// Demodulation converts every stored pixel to Lab, and [`Lab::from_xyz`]
-/// costs three `cbrt` calls — the single most expensive operation in frame
-/// decode. But the pixels of one color band cluster within a few quantizer
-/// codes of the band's color (sensor noise is small in 8-bit units), so a
-/// frame touches only a tiny fraction of the 2²⁴ possible byte triples. A
-/// direct-mapped cache over the triple exploits that: hits return the
-/// previously computed Lab *verbatim* (this is memoization, not
-/// approximation — results are bit-identical to the uncached path, which
-/// the unit tests assert), and collisions simply recompute and replace.
-///
-/// The conversion is pinned to the receiver's fixed pipeline:
-/// [`SrgbToXyzLut::srgb`](crate::rgb::SrgbToXyzLut::srgb) then Lab
-/// against [`Xyz::D65_WHITE`].
-#[derive(Debug, Clone)]
-pub struct SrgbLabCache {
-    /// Occupied slots hold `key + 1` (so 0 means empty).
-    keys: Vec<u32>,
-    labs: Vec<Lab>,
-}
-
-/// log₂ of the cache slot count: 2¹⁵ slots ≈ 1.2 MiB, large enough that the
-/// handful of symbol colors in flight (plus their noise neighborhoods)
-/// essentially never collide.
-const LAB_CACHE_BITS: u32 = 15;
-
-impl SrgbLabCache {
-    /// An empty cache (slots fill on demand).
-    pub fn new() -> SrgbLabCache {
-        SrgbLabCache {
-            keys: vec![0; 1 << LAB_CACHE_BITS],
-            labs: vec![Lab::new(0.0, 0.0, 0.0); 1 << LAB_CACHE_BITS],
-        }
-    }
-
-    /// The Lab value of a stored sRGB pixel — bit-identical to
-    /// `Lab::from_xyz(SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)`.
-    #[inline]
-    pub fn lab_of(&mut self, px: [u8; 3]) -> Lab {
-        let key = u32::from_be_bytes([0, px[0], px[1], px[2]]) + 1;
-        // Fibonacci hashing spreads the triple across the slot index.
-        let idx = (key.wrapping_mul(2_654_435_761) >> (32 - LAB_CACHE_BITS)) as usize;
-        if self.keys[idx] == key {
-            return self.labs[idx];
-        }
-        let lab = Lab::from_xyz(crate::rgb::SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE);
-        self.keys[idx] = key;
-        self.labs[idx] = lab;
-        lab
-    }
-}
-
-impl Default for SrgbLabCache {
-    fn default() -> Self {
-        SrgbLabCache::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The reference the row kernel must reproduce bit for bit.
+    fn reference_lab(px: [u8; 3]) -> Lab {
+        Lab::from_xyz(crate::rgb::SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)
+    }
+
+    fn assert_same_bits(got: Lab, want: Lab, what: &dyn std::fmt::Debug) {
+        assert_eq!(got.l.to_bits(), want.l.to_bits(), "L of {what:?}");
+        assert_eq!(got.a.to_bits(), want.a.to_bits(), "a of {what:?}");
+        assert_eq!(got.b.to_bits(), want.b.to_bits(), "b of {what:?}");
+    }
+
     #[test]
-    fn lab_cache_is_bit_identical_to_direct_conversion() {
-        let mut cache = SrgbLabCache::new();
-        let direct = |px: [u8; 3]| {
-            Lab::from_xyz(crate::rgb::SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)
-        };
-        let assert_same = |got: Lab, px: [u8; 3]| {
-            let want = direct(px);
-            assert_eq!(got.l.to_bits(), want.l.to_bits(), "{px:?}");
-            assert_eq!(got.a.to_bits(), want.a.to_bits(), "{px:?}");
-            assert_eq!(got.b.to_bits(), want.b.to_bits(), "{px:?}");
-        };
-        // A deterministic LCG sweep with repeats: cold misses, warm hits and
-        // hash collisions must all return the exact direct-path value.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut pixels = Vec::new();
-        for _ in 0..20_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let bits = state >> 32;
-            pixels.push([bits as u8, (bits >> 8) as u8, (bits >> 16) as u8]);
+    fn row_kernel_matches_from_xyz_on_every_byte_triple() {
+        // All 2²⁴ pixels, 65 536 to a row so every lane of every chunk
+        // runs: this covers every cube-root input the receiver can see.
+        let mut row = vec![[0u8; 3]; 1 << 16];
+        let mut flagged = 0;
+        for r in 0..=255u8 {
+            for (i, px) in row.iter_mut().enumerate() {
+                *px = [r, (i >> 8) as u8, i as u8];
+            }
+            let mut i = 0;
+            for_each_srgb_lab(&row, |lab| {
+                assert_same_bits(lab, reference_lab(row[i]), &row[i]);
+                i += 1;
+            });
+            assert_eq!(i, row.len());
+            flagged += row
+                .iter()
+                .flat_map(|&px| {
+                    let xyz = crate::rgb::SrgbToXyzLut::srgb().xyz_of(px);
+                    let w = Xyz::D65_WHITE;
+                    [
+                        safe_div(xyz.x, w.x),
+                        safe_div(xyz.y, w.y),
+                        safe_div(xyz.z, w.z),
+                    ]
+                })
+                .filter(|&t| t > F_KNEE && cbrt_newton(t).1)
+                .count();
         }
-        for &px in pixels.iter().chain(pixels.iter()) {
-            assert_same(cache.lab_of(px), px);
+        // The rare neighbour-pick pass ran, and agreed with libm, too.
+        assert!(flagged > 0, "no root was flagged for the neighbour pick");
+    }
+
+    #[test]
+    fn row_mean_of_uniform_rows() {
+        // Black sits on the linear toe (t = 0), saturated white at t = 1;
+        // an empty row has no mean. Chunking and summation order are
+        // pinned against the per-pixel reference in `row_signal`'s tests.
+        for width in [1, 33] {
+            let black = srgb_row_mean(&vec![[0, 0, 0]; width]);
+            assert_eq!((black.l, black.a, black.b), (0.0, 0.0, 0.0));
+            let white = srgb_row_mean(&vec![[255, 255, 255]; width]);
+            assert!((white.l - 100.0).abs() < 1e-6, "{white:?}");
         }
-        // Deliberate collision pair: two keys in the same slot keep exact
-        // results as they evict each other.
-        let slot_of = |px: [u8; 3]| {
-            ((u32::from_be_bytes([0, px[0], px[1], px[2]]) + 1).wrapping_mul(2_654_435_761)
-                >> (32 - LAB_CACHE_BITS)) as usize
-        };
-        let a = [1u8, 2, 3];
-        let mut b = [4u8, 5, 6];
-        'search: for r in 0..=255u8 {
-            for g in 0..=255u8 {
-                b = [r, g, 200];
-                if b != a && slot_of(b) == slot_of(a) {
-                    break 'search;
-                }
+        let one = srgb_row_mean(&[[255, 255, 255]]);
+        assert_same_bits(one, reference_lab([255, 255, 255]), &"white");
+        assert!(srgb_row_mean(&[]).l.is_nan());
+    }
+
+    #[test]
+    fn lab_f_blocks_is_lab_f_beyond_the_byte_domain() {
+        // A log-spaced sweep over [10⁻⁴, 8]: the toe, the knee, and cube
+        // roots past t = 1, in whole chunks and with a ragged tail.
+        let (lo, hi) = (1e-4f64.ln(), 8f64.ln());
+        let ts: Vec<f64> = (0..=100_000)
+            .map(|i| (lo + (hi - lo) * i as f64 / 100_000.0).exp())
+            .chain([F_KNEE, F_KNEE.next_up(), 0.125, 1.0, 8.0])
+            .collect();
+        for chunk in ts.chunks(ROW_CHUNK - 3) {
+            let mut f = [0.0; ROW_CHUNK];
+            f[..chunk.len()].copy_from_slice(chunk);
+            lab_f_blocks(&mut f, chunk.len());
+            for (&got, &t) in f.iter().zip(chunk) {
+                assert_eq!(got.to_bits(), lab_f(t).to_bits(), "{t:e}");
             }
         }
-        if slot_of(a) == slot_of(b) {
-            for _ in 0..3 {
-                assert_same(cache.lab_of(a), a);
-                assert_same(cache.lab_of(b), b);
+    }
+
+    #[test]
+    fn the_neighbour_pick_settles_on_the_nearest_double() {
+        for i in 0..10_000 {
+            let t = F_KNEE + (1.5 - F_KNEE) * i as f64 / 10_000.0;
+            let root = t.cbrt();
+            for y in [root.next_down(), root, root.next_up()] {
+                assert_eq!(nearest_of_neighbours(y, t), root, "{t:e} from {y:e}");
             }
         }
     }

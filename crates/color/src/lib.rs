@@ -19,6 +19,9 @@
 //! * [`Lab`] — CIELAB with the ΔE*ab (CIE76) and ΔE94 difference metrics. The
 //!   paper matches received symbols to calibration references with a CIE76
 //!   threshold of 2.3 (the classical just-noticeable difference).
+//!   [`srgb_row_mean`] is the receiver's row reduction: the mean Lab of a
+//!   row of stored pixels, vectorized and bit-identical to per-pixel
+//!   [`Lab::from_xyz`].
 //! * [`Illuminant`] — standard white points (E, D65) used for constellation
 //!   white-balance and Lab normalization.
 //!
@@ -56,7 +59,7 @@ pub mod xyz;
 
 pub use chromaticity::{Chromaticity, GamutTriangle};
 pub use illuminant::Illuminant;
-pub use lab::{delta_e2000, delta_e76, delta_e94, Lab, SrgbLabCache};
+pub use lab::{delta_e2000, delta_e76, delta_e94, srgb_row_mean, Lab};
 pub use matrix::{Mat3, Vec3};
 pub use rgb::{LinearRgb, RgbSpace, Srgb, SrgbQuantizer, SrgbQuantizerF32, SrgbToXyzLut};
 pub use xyz::Xyz;

@@ -110,7 +110,7 @@ fn solve(mut a: Vec<Vec<f64>>, mut y: Vec<Vec<f64>>) -> Option<Vec<Vec<f64>>> {
     let n = a.len();
     for col in 0..n {
         let pivot_row = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).unwrap())
+            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
             .unwrap();
         if a[pivot_row][col].abs() < 1e-12 {
             return None;
@@ -332,6 +332,16 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn solve_survives_a_nan_entry() {
+        // NaN sorts above every finite pivot candidate instead of
+        // panicking the comparison.
+        let a = vec![vec![1.0, 2.0], vec![f64::NAN, 4.0]];
+        let y = vec![vec![1.0], vec![2.0]];
+        let x = solve(a, y).expect("NaN is not a vanishing pivot");
+        assert!(x.iter().flatten().all(|v| v.is_nan()), "{x:?}");
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl Receiver {
         // classifying (sudden ambient changes move the dark floor).
         if let Some(darkest) = bands
             .iter()
-            .min_by(|a, b| a.feature.l.partial_cmp(&b.feature.l).unwrap())
+            .min_by(|a, b| a.feature.l.total_cmp(&b.feature.l))
         {
             let brightest = bands
                 .iter()
@@ -593,6 +593,57 @@ mod tests {
         let report = rx.finish();
         assert!(report.chunks.is_empty());
         assert_eq!(report.stats.frames, 0);
+        assert!(report.data().is_empty());
+    }
+
+    /// A frame of the Nexus 5 crop's row time whose pixel at `(row, col)`
+    /// is `px(row, col)`.
+    fn frame_of(
+        width: usize,
+        height: usize,
+        index: usize,
+        px: impl Fn(usize, usize) -> [u8; 3],
+    ) -> Frame {
+        let pixels = (0..height)
+            .flat_map(|r| (0..width).map(move |c| (r, c)))
+            .map(|(r, c)| px(r, c))
+            .collect();
+        let meta = colorbars_camera::FrameMeta {
+            index,
+            start_time: index as f64 / 30.0,
+            exposure: 60e-6,
+            iso: 200.0,
+            row_time: 7.85e-6,
+        };
+        Frame::new(width, height, pixels, meta)
+    }
+
+    #[test]
+    fn degenerate_frames_decode_to_nothing_without_panicking() {
+        const STRIPES: [[u8; 3]; 4] = [[255, 0, 0], [0, 255, 0], [0, 0, 255], [0, 0, 0]];
+        let degenerate = [
+            ("all-black", frame_of(24, 3264, 0, |_, _| [0, 0, 0])),
+            ("saturated", frame_of(24, 3264, 1, |_, _| [255, 255, 255])),
+            (
+                "one column",
+                frame_of(1, 3264, 2, |r, _| STRIPES[(r / 32) % STRIPES.len()]),
+            ),
+            (
+                "shorter than a band",
+                frame_of(24, 3, 3, |r, c| [(r * 80) as u8, (c * 10) as u8, 128]),
+            ),
+        ];
+        let mut all = test_receiver();
+        for (what, frame) in &degenerate {
+            let mut rx = test_receiver();
+            rx.process_frame(frame);
+            all.process_frame(frame);
+            let report = rx.finish();
+            assert_eq!(report.stats.frames, 1, "{what}");
+            assert!(report.data().is_empty(), "{what} decoded data");
+        }
+        let report = all.finish();
+        assert_eq!(report.stats.frames, degenerate.len());
         assert!(report.data().is_empty());
     }
 

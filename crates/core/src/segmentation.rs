@@ -3,7 +3,10 @@
 //! Step 1: every pixel is converted to CIELAB; dropping the lightness
 //! channel removes most of the vignetting-induced variation (Fig 8).
 //! Step 2: the 2-D frame is reduced to one Lab value per scanline by
-//! averaging along the band direction, then the 1-D signal is segmented
+//! averaging along the band direction. Steps 1 and 2a run fused, one row
+//! at a time, in a stateless kernel that is exact to the bit (see
+//! [`row_signal`]): every pixel is converted, with no cache to warm or
+//! collide. Then the 1-D signal is segmented
 //! into bands. Segmentation combines change-point detection (gradient
 //! maxima of the ΔE between the windows before and after each row) with
 //! the known expected band width: over-wide segments — two identical
@@ -15,7 +18,7 @@
 //! central portion of the band votes.
 
 use colorbars_camera::Frame;
-use colorbars_color::{Lab, SrgbLabCache};
+use colorbars_color::{srgb_row_mean, Lab};
 
 /// One detected color band.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,34 +75,16 @@ impl SegmentationConfig {
 /// averaged across the row — the same order as the paper (convert, then
 /// average), so non-linear encoding effects match the prototype app.
 ///
-/// The per-pixel conversion is *memoized*, not approximated: byte triples
-/// go through a thread-local [`SrgbLabCache`] (bit-identical byte→XYZ
-/// decode table, then the exact Lab transform, cached per distinct pixel
-/// value). Band pixels cluster within a few codes of the band color, so
-/// nearly every pixel is a cache hit and the per-pixel `cbrt` calls
-/// disappear from the hot path — while the signal (and every downstream
-/// decoded byte) stays bit-for-bit what the arithmetic path produced.
+/// Each row goes through [`srgb_row_mean`], a stateless vectorized kernel
+/// that keeps no memo and allocates nothing per row. Its result is exact,
+/// not approximate: every pixel takes the same decode table and the same
+/// Lab arithmetic as `Lab::from_xyz`, with a cube root that returns the
+/// nearest double — which is what libm's `cbrt` returns on all of the
+/// kernel's inputs, as a test over all 2²⁴ byte triples asserts — and the
+/// sum runs in pixel order. So the signal, and every decoded byte after
+/// it, is bit-for-bit the per-pixel `Lab::from_xyz` reduction.
 pub fn row_signal(frame: &Frame) -> Vec<Lab> {
-    thread_local! {
-        static LAB_CACHE: std::cell::RefCell<SrgbLabCache> =
-            std::cell::RefCell::new(SrgbLabCache::new());
-    }
-    let width = frame.width() as f64;
-    LAB_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        (0..frame.height())
-            .map(|r| {
-                let (mut sl, mut sa, mut sb) = (0.0, 0.0, 0.0);
-                for px in frame.row(r) {
-                    let lab = cache.lab_of(*px);
-                    sl += lab.l;
-                    sa += lab.a;
-                    sb += lab.b;
-                }
-                Lab::new(sl / width, sa / width, sb / width)
-            })
-            .collect()
-    })
+    frame.rows().map(srgb_row_mean).collect()
 }
 
 /// Step 2b: segment the 1-D Lab signal into bands.
@@ -307,6 +292,76 @@ mod tests {
     fn empty_signal_is_fine() {
         let cfg = SegmentationConfig::for_band_width(40.0);
         assert!(segment(&[], &cfg).is_empty());
+    }
+
+    /// `row_signal`'s contract: per-pixel `Lab::from_xyz` on the decoded
+    /// XYZ, summed in pixel order, divided by the width — bit for bit.
+    fn reference_row_signal(frame: &Frame) -> Vec<Lab> {
+        use colorbars_color::{SrgbToXyzLut, Xyz};
+        frame
+            .rows()
+            .map(|row| {
+                let (mut l, mut a, mut b) = (0.0, 0.0, 0.0);
+                for &px in row {
+                    let lab = Lab::from_xyz(SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE);
+                    l += lab.l;
+                    a += lab.a;
+                    b += lab.b;
+                }
+                let n = frame.width() as f64;
+                Lab::new(l / n, a / n, b / n)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_signal_is_the_per_pixel_reference_at_every_chunk_tail() {
+        let meta = colorbars_camera::FrameMeta {
+            index: 0,
+            start_time: 0.0,
+            exposure: 60e-6,
+            iso: 200.0,
+            row_time: 7.85e-6,
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 32) as u32
+        };
+        // Widths below, at and one past the kernel's 32-pixel chunk, the
+        // Nexus 5 crop and a full sensor row.
+        for width in [1, 7, 24, 32, 33, 4032] {
+            // Rows: all black (every channel on the linear toe, t = 0),
+            // saturated (t ≥ 1), uniformly random, and dark pixels mixed
+            // with bright ones (toe and cube root in the same chunk).
+            let mut pixels = Vec::new();
+            pixels.extend(std::iter::repeat_n([0u8; 3], width));
+            pixels.extend(std::iter::repeat_n([255u8; 3], width));
+            pixels.extend((0..width).map(|_| {
+                let n = noise();
+                [n as u8, (n >> 8) as u8, (n >> 16) as u8]
+            }));
+            pixels.extend((0..width).map(|i| {
+                let n = noise();
+                if i % 3 == 0 {
+                    [(n % 24) as u8, 0, (n % 9) as u8]
+                } else {
+                    [n as u8, (n >> 8) as u8, 255]
+                }
+            }));
+            let frame = Frame::new(width, 4, pixels, meta);
+            let got = row_signal(&frame);
+            let want = reference_row_signal(&frame);
+            for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    [g.l.to_bits(), g.a.to_bits(), g.b.to_bits()],
+                    [w.l.to_bits(), w.a.to_bits(), w.b.to_bits()],
+                    "width {width}, row {row}: {g:?} vs {w:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,12 @@ echo "==> decodebench self-tests (chunk, score and stream-vs-batch checks)"
 # does not reach it.
 cargo test --release --offline --manifest-path decodebench/Cargo.toml
 
+echo "==> decodebench --trace 1 (per-layer traced pass runs end to end)"
+# The self-tests above cover the batch and stream passes only. Spans land
+# in the git-ignored decodebench/out/.
+cargo run --release --offline --manifest-path decodebench/Cargo.toml -- \
+    --workload n5_csk8 --seed 1 --seconds 3 --trace 1
+
 echo "==> cargo bench --no-run (bench harnesses compile)"
 cargo bench --workspace --no-run
 
