@@ -23,6 +23,12 @@
 //! asserts the no-op behaviorally (no state changes) and prints the
 //! disabled-vs-enabled timing so the claim is auditable in CI output.
 //!
+//! The `obs_contended` group runs `counter!` plus `span!` in a tight loop
+//! from two `run_pool` workers at once, the shape of a sweep whose seed
+//! runs record into the global store concurrently. Each iteration is
+//! `CONTENDED_OPS` counter-and-span pairs per worker, so the per-pair cost
+//! is the printed time divided by `CONTENDED_OPS`.
+//!
 //! The `journey_record` group extends the same contract to packet-journey
 //! provenance (DESIGN.md §14): with journeys disabled, every recording
 //! entry point is one relaxed atomic load of the journey enable flag (the
@@ -33,7 +39,7 @@
 
 use colorbars_camera::{CaptureConfig, DeviceProfile, Vignette};
 use colorbars_channel::OpticalChannel;
-use colorbars_core::{CskOrder, LinkConfig, LinkSimulator, Transmitter};
+use colorbars_core::{run_pool, CskOrder, LinkConfig, LinkSimulator, Transmitter};
 use colorbars_obs as obs;
 use colorbars_obs::live::Registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -150,6 +156,48 @@ fn registry_writes(c: &mut Criterion) {
     g.finish();
 }
 
+/// Counter-and-span pairs each worker records per contended iteration.
+const CONTENDED_OPS: u64 = 20_000;
+
+fn contended_writes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("obs_contended");
+    g.sample_size(20);
+
+    obs::init(obs::ObsConfig::default());
+    obs::reset();
+    g.bench_function("counter+span/2_threads", |b| {
+        b.iter(|| {
+            let worker = || {
+                for _ in 0..CONTENDED_OPS {
+                    let _span = obs::span!("bench.contended.span");
+                    obs::counter!("bench.contended.counter");
+                }
+            };
+            run_pool(vec![worker, worker], 2)
+        })
+    });
+    let snap = obs::snapshot();
+    let counted = snap
+        .counters
+        .iter()
+        .find(|c| c.name == "bench.contended.counter")
+        .map_or(0, |c| c.value);
+    let timed = snap
+        .spans
+        .iter()
+        .find(|s| s.name == "bench.contended.span")
+        .map_or(0, |s| s.count);
+    assert!(
+        counted > 0 && counted % (2 * CONTENDED_OPS) == 0,
+        "every contended counter write lands: {counted}"
+    );
+    assert_eq!(timed, counted, "one span per counter write");
+    obs::disable();
+    obs::reset();
+
+    g.finish();
+}
+
 fn journey_records(c: &mut Criterion) {
     let make = || obs::journey::JourneyRecord {
         id: 0,
@@ -201,5 +249,11 @@ fn journey_records(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, obs_overhead, registry_writes, journey_records);
+criterion_group!(
+    benches,
+    obs_overhead,
+    registry_writes,
+    contended_writes,
+    journey_records
+);
 criterion_main!(benches);

@@ -19,6 +19,8 @@ use crate::symbol::SymbolMapper;
 use colorbars_camera::Frame;
 use colorbars_color::Lab;
 use colorbars_obs as obs;
+use colorbars_obs::live::{Counter, Registry};
+use std::sync::OnceLock;
 
 /// One demodulated band with enough context to compare against the ground
 /// truth schedule (used for SER measurement, paper Fig 9).
@@ -109,6 +111,50 @@ pub struct ReceiverStats {
     pub eq_fallbacks: usize,
 }
 
+/// Reads one [`ReceiverStats`] field.
+type StatsField = fn(&ReceiverStats) -> usize;
+
+/// The link doctor's ledger: every counter the receiver publishes, with the
+/// [`ReceiverStats`] field it mirrors. This table is the one place these
+/// counters are defined; see [`Receiver::publish`].
+const LEDGER: [(&str, StatsField); 22] = [
+    ("rx.frames", |s| s.frames),
+    ("rx.bands.segmented", |s| s.bands),
+    ("rx.bands.classified", |s| s.bands_classified),
+    ("rx.bands.calibrated", |s| s.bands_calibrated),
+    ("rx.bands.depacketized", |s| s.bands_depacketized),
+    ("rx.packets.ok", |s| s.packets_ok),
+    ("rx.packets.header_lost", |s| s.packets_header_lost),
+    ("rx.packets.rs_failed", |s| s.packets_rs_failed),
+    ("rx.packets.overrun", |s| s.packets_overrun),
+    ("rx.packets.undecoded", |s| s.packets_undecoded),
+    ("rx.packets.unrecoverable_burst", |s| s.packets_burst_lost),
+    ("rx.calibrations.ok", |s| s.calibrations),
+    ("rx.calibrations.failed", |s| s.calibrations_failed),
+    ("rx.rs.erasures_recovered", |s| s.erasures_recovered),
+    ("rx.rs.errors_corrected", |s| s.errors_corrected),
+    ("rx.fec.groups", |s| s.fec_groups),
+    ("rx.fec.codewords", |s| s.fec_codewords),
+    ("rx.fec.codewords_ok", |s| s.fec_codewords_ok),
+    ("rx.fec.segments_missing", |s| s.fec_segments_missing),
+    ("rx.fec.recovered_by_interleave", |s| {
+        s.fec_recovered_by_interleave
+    }),
+    ("rx.eq.trained", |s| s.eq_trained),
+    ("rx.eq.fallback", |s| s.eq_fallbacks),
+];
+
+/// The global registry's unlabeled [`LEDGER`] counters, resolved once.
+fn global_ledger() -> &'static [Counter] {
+    static HANDLES: OnceLock<Vec<Counter>> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        LEDGER
+            .iter()
+            .map(|(name, _)| obs::registry().counter(name, &[]))
+            .collect()
+    })
+}
+
 impl ReceiverStats {
     /// Sum of the six mutually exclusive data-packet outcome counters.
     /// Always equals [`ReceiverStats::packets_data_total`]: every parsed
@@ -158,6 +204,11 @@ pub struct Receiver {
     /// Calibration preamble samples accumulated across absorbed
     /// calibrations (bounded; the training set).
     cal_samples: Vec<(usize, Lab)>,
+    /// [`LEDGER`] values already published, indexed like the table.
+    published: [usize; LEDGER.len()],
+    /// A streaming session's labeled [`LEDGER`] counters, indexed like the
+    /// table (empty when no session attached any).
+    session_ledger: Vec<Counter>,
 }
 
 impl Receiver {
@@ -221,6 +272,8 @@ impl Receiver {
             report: ReceiverReport::default(),
             equalizer: None,
             cal_samples: Vec::new(),
+            published: [0; LEDGER.len()],
+            session_ledger: Vec::new(),
         })
     }
 
@@ -251,13 +304,41 @@ impl Receiver {
         &self.seg
     }
 
-    /// The counters accumulated so far. Streaming consumers (the
-    /// [`crate::session::LinkSession`] worker) diff this between frames to
-    /// feed per-session stage metrics without waiting for [`finish`].
-    ///
-    /// [`finish`]: Receiver::finish
+    /// The counters accumulated so far (the
+    /// [`LinkSession`](crate::session::LinkSession) worker reads the band
+    /// count for its symbol rate).
     pub fn stats(&self) -> &ReceiverStats {
         &self.report.stats
+    }
+
+    /// Also publish the ledger into `registry` under `labels` (a
+    /// [`LinkSession`](crate::session::LinkSession) attaches its `session`
+    /// label). Growth published before this call is not repeated there.
+    pub(crate) fn attach_ledger(&mut self, registry: &Registry, labels: &[(&str, &str)]) {
+        self.session_ledger = LEDGER
+            .iter()
+            .map(|(name, _)| registry.counter(name, labels))
+            .collect();
+    }
+
+    /// Add each [`LEDGER`] field's growth since the last call to the global
+    /// counters and to the attached session's. Runs at the end of every
+    /// [`process_frame`](Receiver::process_frame) and in
+    /// [`finish`](Receiver::finish); growth while observability is disabled
+    /// is dropped, not deferred.
+    fn publish(&mut self) {
+        let enabled = obs::is_enabled();
+        for (i, (_, field)) in LEDGER.iter().enumerate() {
+            let now = field(&self.report.stats);
+            let delta = (now - self.published[i]) as u64;
+            self.published[i] = now;
+            if enabled && delta > 0 {
+                global_ledger()[i].add(delta);
+                if let Some(counter) = self.session_ledger.get(i) {
+                    counter.add(delta);
+                }
+            }
+        }
     }
 
     /// Publish the decode-relevant state as this namespace's flight-recorder
@@ -288,8 +369,6 @@ impl Receiver {
         let bands = segment(&signal, &self.seg);
         self.report.stats.frames += 1;
         self.report.stats.bands += bands.len();
-        obs::counter!("rx.frames");
-        obs::counter!("rx.bands.segmented", bands.len());
 
         // Re-anchor the OFF detector from this frame's extremes before
         // classifying (sudden ambient changes move the dark floor).
@@ -306,13 +385,11 @@ impl Receiver {
 
         let observed = self.classify_bands(frame, &bands);
         self.report.stats.bands_classified += observed.len();
-        obs::counter!("rx.bands.classified", observed.len());
         self.refresh_from_flags(&observed);
 
         let calibrated = self.store.calibrations() > 0;
         if calibrated {
             self.report.stats.bands_calibrated += observed.len();
-            obs::counter!("rx.bands.calibrated", observed.len());
         }
         for b in &observed {
             self.report.bands.push(DemodulatedBand {
@@ -327,10 +404,10 @@ impl Receiver {
         }
         let parser_input: Vec<ObservedBand> = observed.iter().map(|b| b.band).collect();
         self.report.stats.bands_depacketized += parser_input.len();
-        obs::counter!("rx.bands.depacketized", parser_input.len());
         let packets = self.depacketizer.push_frame(&parser_input);
         self.absorb(packets);
         self.sync_fec_counters();
+        self.publish();
     }
 
     /// Flush trailing state at the end of a capture and take the report.
@@ -338,29 +415,17 @@ impl Receiver {
         let packets = self.depacketizer.finish();
         self.absorb(packets);
         self.sync_fec_counters();
+        self.publish();
         self.report
     }
 
     /// Mirror the depacketizer's cumulative group-level FEC counters into
-    /// the report stats, emitting the per-step deltas as obs counters so
-    /// streaming consumers see them as they happen.
+    /// the report stats.
     fn sync_fec_counters(&mut self) {
-        let groups = self.depacketizer.fec_groups();
-        let codewords = self.depacketizer.fec_codewords();
-        let missing = self.depacketizer.fec_segments_missing();
         let s = &mut self.report.stats;
-        if groups > s.fec_groups {
-            obs::counter!("rx.fec.groups", groups - s.fec_groups);
-        }
-        if codewords > s.fec_codewords {
-            obs::counter!("rx.fec.codewords", codewords - s.fec_codewords);
-        }
-        if missing > s.fec_segments_missing {
-            obs::counter!("rx.fec.segments_missing", missing - s.fec_segments_missing);
-        }
-        s.fec_groups = groups;
-        s.fec_codewords = codewords;
-        s.fec_segments_missing = missing;
+        s.fec_groups = self.depacketizer.fec_groups();
+        s.fec_codewords = self.depacketizer.fec_codewords();
+        s.fec_segments_missing = self.depacketizer.fec_segments_missing();
     }
 
     /// Convenience: process a recorded clip and return the report — the
@@ -423,12 +488,10 @@ impl Receiver {
             Ok(eq) => {
                 self.equalizer = eq;
                 self.report.stats.eq_trained += 1;
-                obs::counter!("rx.eq.trained");
             }
             Err(e) => {
                 self.equalizer = None;
                 self.report.stats.eq_fallbacks += 1;
-                obs::counter!("rx.eq.fallback");
                 obs::event("rx.eq.fallback", [("reason", obs::Value::from(e.kind()))]);
             }
         }
@@ -475,15 +538,10 @@ impl Receiver {
                     self.report.stats.erasures_recovered += erasures_recovered;
                     self.report.stats.errors_corrected += errors_corrected;
                     self.report.stats.data_symbols_received += data_symbols_received;
-                    obs::counter!("rx.packets.ok");
-                    obs::counter!("rx.rs.erasures_recovered", erasures_recovered);
-                    obs::counter!("rx.rs.errors_corrected", errors_corrected);
                     if via_interleave {
                         self.report.stats.fec_codewords_ok += 1;
-                        obs::counter!("rx.fec.codewords_ok");
                         if erasures_recovered + errors_corrected > 0 {
                             self.report.stats.fec_recovered_by_interleave += 1;
-                            obs::counter!("rx.fec.recovered_by_interleave");
                         }
                     }
                     self.report.chunks.push(chunk);
@@ -497,23 +555,18 @@ impl Receiver {
                     match reason {
                         FailReason::BadHeader => {
                             self.report.stats.packets_header_lost += 1;
-                            obs::counter!("rx.packets.header_lost");
                         }
                         FailReason::Overrun => {
                             self.report.stats.packets_overrun += 1;
-                            obs::counter!("rx.packets.overrun");
                         }
                         FailReason::RsCapacityExceeded => {
                             self.report.stats.packets_rs_failed += 1;
-                            obs::counter!("rx.packets.rs_failed");
                         }
                         FailReason::DecoderDisabled => {
                             self.report.stats.packets_undecoded += 1;
-                            obs::counter!("rx.packets.undecoded");
                         }
                         FailReason::UnrecoverableBurst => {
                             self.report.stats.packets_burst_lost += 1;
-                            obs::counter!("rx.packets.unrecoverable_burst");
                         }
                     }
                     obs::event(
@@ -526,7 +579,6 @@ impl Receiver {
                     if self.store.calibration_consistent(&features, &seq) {
                         self.store.absorb_calibration(&features);
                         self.report.stats.calibrations += 1;
-                        obs::counter!("rx.calibrations.ok");
                         self.train_equalizer(&features);
                         // The references (and possibly the equalizer) moved:
                         // the replay context must track them or the
@@ -534,12 +586,10 @@ impl Receiver {
                         self.record_replay_context();
                     } else {
                         self.report.stats.calibrations_failed += 1;
-                        obs::counter!("rx.calibrations.failed");
                     }
                 }
                 ParsedPacket::CalibrationFailed => {
                     self.report.stats.calibrations_failed += 1;
-                    obs::counter!("rx.calibrations.failed");
                 }
             }
         }
@@ -557,7 +607,7 @@ struct ClassifiedBand {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::constellation::CskOrder;
 
@@ -618,10 +668,11 @@ mod tests {
         Frame::new(width, height, pixels, meta)
     }
 
-    #[test]
-    fn degenerate_frames_decode_to_nothing_without_panicking() {
+    /// All-black, saturated, one-column, and shorter-than-a-band frames,
+    /// each named, indexed 0..4.
+    pub(crate) fn degenerate_frames() -> [(&'static str, Frame); 4] {
         const STRIPES: [[u8; 3]; 4] = [[255, 0, 0], [0, 255, 0], [0, 0, 255], [0, 0, 0]];
-        let degenerate = [
+        [
             ("all-black", frame_of(24, 3264, 0, |_, _| [0, 0, 0])),
             ("saturated", frame_of(24, 3264, 1, |_, _| [255, 255, 255])),
             (
@@ -632,7 +683,12 @@ mod tests {
                 "shorter than a band",
                 frame_of(24, 3, 3, |r, c| [(r * 80) as u8, (c * 10) as u8, 128]),
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn degenerate_frames_decode_to_nothing_without_panicking() {
+        let degenerate = degenerate_frames();
         let mut all = test_receiver();
         for (what, frame) in &degenerate {
             let mut rx = test_receiver();
@@ -647,7 +703,7 @@ mod tests {
         assert!(report.data().is_empty());
     }
 
-    fn test_receiver() -> Receiver {
+    pub(crate) fn test_receiver() -> Receiver {
         let cfg = LinkConfig::paper_default(CskOrder::Csk8, 2000.0, 0.2312);
         Receiver::new(cfg, 7.85e-6).unwrap()
     }

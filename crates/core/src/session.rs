@@ -26,9 +26,12 @@
 //! * `session.queue_depth` gauge and `session.backpressure_stalls`
 //!   counter — how far the decoder trails the feed.
 //! * The link doctor's per-stage ledger counters (`rx.frames`,
-//!   `rx.bands.*`, `rx.packets.*`, `rx.rs.*`), diffed from
-//!   [`Receiver::stats`] per frame, so `doctor --live` can attribute
+//!   `rx.bands.*`, `rx.packets.*`, `rx.calibrations.*`, `rx.rs.*`,
+//!   `rx.fec.*`, `rx.eq.*`). The session attaches its label to the
+//!   receiver, which publishes them after every frame into the session's
+//!   registry as well as the global one, so `doctor --live` can attribute
 //!   losses per session mid-run.
+//! * `rx.session.evicted` — counted once when the idle timeout fires.
 //! * A shared unlabeled `sessions.active` gauge.
 //!
 //! All recording funnels through `colorbars-obs`'s global gate: with
@@ -36,7 +39,7 @@
 //! session costs one relaxed atomic load per frame beyond the decode
 //! itself.
 
-use crate::receiver::{Receiver, ReceiverReport, ReceiverStats};
+use crate::receiver::{Receiver, ReceiverReport};
 use colorbars_camera::Frame;
 use colorbars_obs as obs;
 use colorbars_obs::live::{Counter, Gauge, LatencyHistogram, Registry, WindowRate};
@@ -102,6 +105,10 @@ impl SessionConfig {
     }
 }
 
+/// Counted (globally, and per session when instrumented) when the idle
+/// timeout evicts a session.
+const EVICTED: &str = "rx.session.evicted";
+
 /// Per-session instrument handles, created once at spawn so the worker's
 /// per-frame path is pure atomic writes (no registry map lookups).
 struct Instruments {
@@ -114,39 +121,7 @@ struct Instruments {
     stalls: Counter,
     evicted: Counter,
     active: Gauge,
-    ledger: Vec<(&'static str, Counter)>,
 }
-
-/// Extractor over [`ReceiverStats`] for one ledger entry.
-type LedgerProbe = fn(&ReceiverStats) -> usize;
-
-/// The doctor-ledger counters a session maintains per frame, paired with
-/// extractors over [`ReceiverStats`] so the worker can diff consecutive
-/// snapshots generically.
-const LEDGER: &[(&str, LedgerProbe)] = &[
-    ("rx.frames", |s| s.frames),
-    ("rx.bands.segmented", |s| s.bands),
-    ("rx.bands.classified", |s| s.bands_classified),
-    ("rx.bands.calibrated", |s| s.bands_calibrated),
-    ("rx.bands.depacketized", |s| s.bands_depacketized),
-    ("rx.packets.ok", |s| s.packets_ok),
-    ("rx.packets.header_lost", |s| s.packets_header_lost),
-    ("rx.packets.rs_failed", |s| s.packets_rs_failed),
-    ("rx.packets.overrun", |s| s.packets_overrun),
-    ("rx.packets.undecoded", |s| s.packets_undecoded),
-    ("rx.packets.unrecoverable_burst", |s| s.packets_burst_lost),
-    ("rx.rs.erasures_recovered", |s| s.erasures_recovered),
-    ("rx.rs.errors_corrected", |s| s.errors_corrected),
-    ("rx.fec.groups", |s| s.fec_groups),
-    ("rx.fec.codewords", |s| s.fec_codewords),
-    ("rx.fec.codewords_ok", |s| s.fec_codewords_ok),
-    ("rx.fec.segments_missing", |s| s.fec_segments_missing),
-    ("rx.fec.recovered_by_interleave", |s| {
-        s.fec_recovered_by_interleave
-    }),
-    ("rx.eq.trained", |s| s.eq_trained),
-    ("rx.eq.fallback", |s| s.eq_fallbacks),
-];
 
 impl Instruments {
     fn new(registry: Registry, label: &str) -> Instruments {
@@ -158,21 +133,16 @@ impl Instruments {
             latency_all: registry.histogram_ms("session.frame_latency_ms", &[]),
             queue_depth: registry.gauge("session.queue_depth", l),
             stalls: registry.counter("session.backpressure_stalls", l),
-            evicted: registry.counter("rx.session.evicted", l),
+            evicted: registry.counter(EVICTED, l),
             active: registry.gauge("sessions.active", &[]),
-            ledger: LEDGER
-                .iter()
-                .map(|(name, _)| (*name, registry.counter(name, l)))
-                .collect(),
             registry,
         }
     }
 
-    /// Record everything one decoded frame produced: rates, latency, queue
-    /// drain, and the stage-counter deltas between `prev` and `now`.
-    fn on_frame(&self, prev: &ReceiverStats, now: &ReceiverStats, enqueued_at: Instant) {
+    /// Record everything one decoded frame produced: rates, latency, and
+    /// queue drain. `bands` is the frame's detected band count.
+    fn on_frame(&self, bands: u64, enqueued_at: Instant) {
         self.registry.rate_record(&self.frames, 1);
-        let bands = now.bands.saturating_sub(prev.bands) as u64;
         if bands > 0 {
             self.registry.rate_record(&self.symbols, bands);
         }
@@ -180,16 +150,6 @@ impl Instruments {
         self.latency.record(latency);
         self.latency_all.record(latency);
         self.queue_depth.add(-1.0);
-        self.record_deltas(prev, now);
-    }
-
-    fn record_deltas(&self, prev: &ReceiverStats, now: &ReceiverStats) {
-        for ((_, extract), (_, counter)) in LEDGER.iter().zip(&self.ledger) {
-            let delta = extract(now).saturating_sub(extract(prev)) as u64;
-            if delta > 0 {
-                counter.add(delta);
-            }
-        }
     }
 }
 
@@ -214,7 +174,10 @@ pub struct LinkSession {
 
 impl LinkSession {
     /// Spawn the session's worker thread around `rx`.
-    pub fn spawn(rx: Receiver, config: SessionConfig) -> LinkSession {
+    pub fn spawn(mut rx: Receiver, config: SessionConfig) -> LinkSession {
+        if let Some(registry) = &config.registry {
+            rx.attach_ledger(registry, &[("session", &config.label)]);
+        }
         let (sender, receiver) = sync_channel::<Job>(config.capacity.max(1));
         let frames_processed = Arc::new(AtomicU64::new(0));
         let instruments = config
@@ -236,8 +199,6 @@ impl LinkSession {
                 // it publishes) carry the session label as their namespace,
                 // so a fleet dump attributes every record to its session.
                 obs::journey::set_namespace(&thread_label);
-                let mut rx = rx;
-                let mut prev = rx.stats().clone();
                 loop {
                     let job = match idle_timeout {
                         None => match receiver.recv() {
@@ -251,7 +212,9 @@ impl LinkSession {
                                 // Feed went silent: evict. Trailing
                                 // packets are flushed below; frames
                                 // pushed after this point are dropped.
-                                obs::counter!("rx.session.evicted");
+                                if obs::is_enabled() {
+                                    obs::registry().counter(EVICTED, &[]).inc();
+                                }
                                 obs::flight::trigger(
                                     "session_evicted",
                                     0,
@@ -267,19 +230,16 @@ impl LinkSession {
                             }
                         },
                     };
+                    let bands_before = rx.stats().bands;
                     rx.process_frame(&job.frame);
                     if let Some(i) = &instruments {
-                        let now = rx.stats().clone();
-                        i.on_frame(&prev, &now, job.enqueued_at);
-                        prev = now;
+                        let bands = rx.stats().bands - bands_before;
+                        i.on_frame(bands as u64, job.enqueued_at);
                     }
                     processed.fetch_add(1, Ordering::Release);
                 }
                 let report = rx.finish();
                 if let Some(i) = &instruments {
-                    // `finish` flushes trailing packets; account their
-                    // stage deltas before the session disappears.
-                    i.record_deltas(&prev, &report.stats);
                     i.active.add(-1.0);
                 }
                 report
@@ -324,8 +284,17 @@ impl LinkSession {
             frame,
             enqueued_at: Instant::now(),
         };
-        match sender.try_send(job) {
-            Ok(()) => {}
+        // Count the frame in before it can reach the worker, whose −1 on
+        // decode must never land first (a scrape would read a negative
+        // depth); a frame that is dropped is counted back out.
+        let depth_add = |delta: f64| {
+            if let Some(depth) = &self.queue_depth {
+                depth.add(delta);
+            }
+        };
+        depth_add(1.0);
+        let queued = match sender.try_send(job) {
+            Ok(()) => true,
             Err(TrySendError::Full(back)) => {
                 if let Some(stalls) = &self.stalls {
                     stalls.inc();
@@ -334,18 +303,15 @@ impl LinkSession {
                 // Re-stamp after the stall is counted: latency measures
                 // queue wait + decode, not the caller's blocked time.
                 job.enqueued_at = Instant::now();
-                if sender.send(job).is_err() {
-                    // Evicted while we were blocked: frame dropped.
-                    return;
-                }
+                // An error here means the session was evicted while we
+                // were blocked.
+                sender.send(job).is_ok()
             }
-            Err(TrySendError::Disconnected(_)) => {
-                // Session evicted: frame dropped.
-                return;
-            }
-        }
-        if let Some(depth) = &self.queue_depth {
-            depth.add(1.0);
+            // Session evicted.
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+        if !queued {
+            depth_add(-1.0);
         }
     }
 
@@ -488,6 +454,10 @@ mod tests {
             report.stats.frames, 1,
             "only the pre-eviction frame decoded"
         );
+        let depth = registry
+            .gauge("session.queue_depth", &[("session", "idle")])
+            .get();
+        assert_eq!(depth, 0.0, "dropped frames are counted back out");
         let snap = registry.snapshot();
         let evicted = snap
             .counters
@@ -502,6 +472,30 @@ mod tests {
             .find(|g| g.id.name == "sessions.active")
             .unwrap();
         assert_eq!(active.value, 0.0);
+    }
+
+    #[test]
+    fn degenerate_frames_stream_like_they_batch() {
+        use crate::receiver::tests::{degenerate_frames, test_receiver};
+        let frames = degenerate_frames();
+        let mut batch = test_receiver();
+        for (_, f) in &frames {
+            batch.process_frame(f);
+        }
+        let batch = batch.finish();
+
+        let registry = Registry::new();
+        let session = LinkSession::spawn(
+            test_receiver(),
+            SessionConfig::new("degenerate", registry).capacity(1),
+        );
+        for (_, f) in &frames {
+            session.push_frame(f.clone());
+        }
+        let streamed = session.finish();
+        assert_eq!(streamed, batch, "streaming and batch decodes must agree");
+        assert_eq!(streamed.stats.frames, frames.len());
+        assert!(streamed.data().is_empty());
     }
 
     #[test]

@@ -208,9 +208,10 @@ pub fn dump_path() -> Option<String> {
 pub fn to_json() -> Value {
     let (recorded, journeys_dropped, _) = journey::stats();
     let counters = Value::object(
-        crate::metrics::counter_summaries()
-            .iter()
-            .map(|c| (c.name.clone(), Value::from(c.value))),
+        crate::snapshot()
+            .counters
+            .into_iter()
+            .map(|c| (c.name, Value::from(c.value))),
     );
     let s = lock();
     Value::object([

@@ -8,25 +8,28 @@
 //! aggregates, and so every bench binary leaves a machine-readable
 //! `results/<experiment>.json` trajectory behind for perf regression work.
 //!
-//! Five pieces:
+//! Five pieces, around one metric store:
 //!
+//! * **The registry** ([`mod@live`]) — a [`Registry`] of named, labeled
+//!   counters, gauges, sliding-window rates, and latency histograms,
+//!   snapshot-able mid-run without stopping writers, with a Prometheus
+//!   text renderer and a periodic JSONL writer (`COLORBARS_OBS_LIVE`).
+//!   One process-global registry ([`registry`]) holds everything the
+//!   macros below record; streaming sessions each get their own.
 //! * **Spans** ([`span!`], [`mod@span`]) — hierarchically named wall-clock
-//!   timers (`"rx.process_frame"`, `"camera.capture_frame"`). A thread-safe
-//!   registry aggregates count / total / min / max / p50 / p99 per name.
-//! * **Counters & histograms** ([`counter!`], [`record!`]) — typed
-//!   pipeline-stage accounting: bands segmented → classified → calibrated →
-//!   depacketized, packets ok / RS-failed / header-lost / overrun, and
-//!   per-stage drop reasons.
+//!   timers (`"rx.process_frame"`, `"camera.capture_frame"`), each a
+//!   latency histogram of the global registry: count / total / min / max
+//!   exact, p50 / p99 per log-spaced bucket.
+//! * **Counters** ([`counter!`]) — typed pipeline-stage accounting: bands
+//!   segmented → classified → calibrated → depacketized, packets ok /
+//!   RS-failed / header-lost / overrun, and per-stage drop reasons.
 //! * **Events** ([`fn@event`]) — a structured sink (bounded ring buffer plus
 //!   an optional JSONL writer) so a run can be replayed or diffed, e.g. the
 //!   per-seed metrics of a seed-averaged sweep.
 //! * **Run reports** ([`RunReport`]) — a serializer every bench binary uses
 //!   to write `results/<experiment>.json`: result rows + stage counters +
-//!   span timings + config + seeds, alongside the existing stdout table.
-//! * **Live telemetry** ([`mod@live`]) — per-session [`Registry`] of
-//!   gauges, counters, sliding-window rates, and latency histograms,
-//!   snapshot-able mid-run without stopping writers, with a Prometheus
-//!   text renderer and a periodic JSONL writer (`COLORBARS_OBS_LIVE`).
+//!   gauges + span timings + config + seeds, alongside the existing stdout
+//!   table.
 //!
 //! ## Zero cost when disabled
 //!
@@ -61,11 +64,12 @@ pub mod trace;
 pub use event::{event, event_fields, take_events, Event};
 pub use json::Value;
 pub use live::{LiveSnapshot, Registry, SnapshotWriter};
-pub use metrics::{CounterSummary, HistogramSummary};
+pub use metrics::{CounterSummary, GaugeSummary};
 pub use report::RunReport;
 pub use span::SpanSummary;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Global observability switch. Off by default: libraries never turn it on
 /// by themselves; harnesses opt in via [`init`].
@@ -155,12 +159,19 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clear all accumulated spans, counters, histograms, buffered events,
-/// trace tracks, journey records, and flight-recorder triggers. The
-/// enabled/disabled state is unchanged.
+/// The process-global registry: what [`counter!`] and [`span!`] record,
+/// and what [`snapshot`], run reports, and the flight dump read.
+pub fn registry() -> &'static Registry {
+    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+    GLOBAL.get_or_init(Registry::new)
+}
+
+/// Clear all accumulated spans, counters, gauges, buffered events, trace
+/// tracks, journey records, and flight-recorder triggers. The global
+/// registry's instruments are zeroed in place, so handles cached at call
+/// sites stay valid. The enabled/disabled state is unchanged.
 pub fn reset() {
-    span::reset();
-    metrics::reset();
+    registry().reset();
     event::reset();
     trace::reset();
     journey::reset();
@@ -177,15 +188,16 @@ pub fn flush() {
     flight::flush_to_configured();
 }
 
-/// A consistent point-in-time view of every registry, ready to serialize.
+/// A point-in-time view of the global registry's unlabeled instruments
+/// that have recorded something, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Aggregated span timings, sorted by name.
     pub spans: Vec<SpanSummary>,
-    /// Counter values, sorted by name.
+    /// Nonzero counter values, sorted by name.
     pub counters: Vec<CounterSummary>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<HistogramSummary>,
+    /// Nonzero gauge values, sorted by name.
+    pub gauges: Vec<GaugeSummary>,
     /// Events emitted since the last [`reset`] (including ones the ring
     /// buffer has since dropped).
     pub events_emitted: u64,
@@ -210,12 +222,11 @@ impl Snapshot {
                 ),
             ),
             (
-                "histograms",
-                Value::Array(
-                    self.histograms
+                "gauges",
+                Value::object(
+                    self.gauges
                         .iter()
-                        .map(HistogramSummary::to_json)
-                        .collect(),
+                        .map(|g| (g.name.as_str(), Value::from(g.value))),
                 ),
             ),
             ("events_emitted", Value::from(self.events_emitted)),
@@ -224,13 +235,37 @@ impl Snapshot {
     }
 }
 
-/// Take a consistent snapshot of all registries.
+/// Snapshot the global registry. Labeled instruments and instruments that
+/// have recorded nothing (zero counters and gauges, empty histograms) are
+/// left out.
 pub fn snapshot() -> Snapshot {
+    let live = registry().snapshot();
     let (events_emitted, events_dropped) = event::stats();
     Snapshot {
-        spans: span::summaries(),
-        counters: metrics::counter_summaries(),
-        histograms: metrics::histogram_summaries(),
+        spans: live
+            .histograms
+            .iter()
+            .filter(|h| h.id.labels.is_empty() && h.count > 0)
+            .map(SpanSummary::from_sample)
+            .collect(),
+        counters: live
+            .counters
+            .into_iter()
+            .filter(|c| c.id.labels.is_empty() && c.value > 0)
+            .map(|c| CounterSummary {
+                name: c.id.name,
+                value: c.value,
+            })
+            .collect(),
+        gauges: live
+            .gauges
+            .into_iter()
+            .filter(|g| g.id.labels.is_empty() && g.value != 0.0)
+            .map(|g| GaugeSummary {
+                name: g.id.name,
+                value: g.value,
+            })
+            .collect(),
         events_emitted,
         events_dropped,
     }
@@ -278,19 +313,40 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_leaves_out_labeled_and_idle_instruments() {
+        let _guard = test_lock::hold();
+        init(ObsConfig::default());
+        reset();
+        let reg = registry();
+        reg.counter("test.lib.idle", &[]);
+        reg.counter("test.lib.labeled", &[("session", "s0")]).add(4);
+        reg.histogram_ms("test.lib.idle_span", &[]);
+        crate::counter!("test.lib.busy", 2);
+        let snap = snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert!(names.contains(&"test.lib.busy"));
+        assert!(
+            !names.contains(&"test.lib.idle"),
+            "zero counters are left out"
+        );
+        assert!(!names.contains(&"test.lib.labeled"), "labeled ones too");
+        assert!(snap.spans.iter().all(|s| s.name != "test.lib.idle_span"));
+        disable();
+    }
+
+    #[test]
     fn disabled_recording_is_a_no_op() {
         let _guard = test_lock::hold();
         disable();
         reset();
         crate::counter!("test.lib.noop");
-        crate::record!("test.lib.noop_hist", 1.0);
         {
             let _span = crate::span!("test.lib.noop_span");
         }
         event("test.lib.noop_event", [("k", Value::Null)]);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
+        assert!(snap.gauges.is_empty());
         assert!(snap.spans.is_empty());
         assert_eq!(snap.events_emitted, 0);
     }

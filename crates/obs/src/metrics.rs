@@ -1,126 +1,29 @@
-//! Typed counters and histograms for pipeline-stage accounting.
+//! Typed counters for pipeline-stage accounting.
 //!
 //! Counters are monotonically increasing u64s keyed by static names
-//! (`rx.bands.segmented`, `tx.packets.data`); histograms aggregate f64
-//! observations (count / sum / min / max plus a deterministic reservoir for
-//! percentiles). Both live in global thread-safe registries so the seed
-//! sweep's worker threads accumulate into one view.
-
-use crate::json::Value;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
-const RESERVOIR: usize = 2048;
+//! (`rx.bands.segmented`, `tx.packets.data`) in the global registry
+//! ([`crate::registry`]). Each [`crate::counter!`] call site resolves its
+//! handle once and caches it in a `static`, so a recording is one atomic
+//! add and the seed sweep's worker threads accumulate into one view
+//! without a lock.
 
 /// Increment a named counter: `counter!("rx.frames")` adds 1,
 /// `counter!("rx.bands.segmented", n)` adds `n`. No-op when observability
-/// is disabled.
+/// is disabled: the switch is checked before the handle is resolved.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {
-        $crate::metrics::add($name, 1)
+    ($name:literal) => {
+        $crate::counter!($name, 1)
     };
-    ($name:expr, $n:expr) => {
-        $crate::metrics::add($name, $n as u64)
-    };
-}
-
-/// Record one observation into a named histogram:
-/// `record!("rx.band_width_px", width)`. No-op when observability is
-/// disabled.
-#[macro_export]
-macro_rules! record {
-    ($name:expr, $value:expr) => {
-        $crate::metrics::observe($name, $value as f64)
-    };
-}
-
-#[derive(Debug, Clone, Default)]
-struct HistStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    samples: Vec<f64>,
-}
-
-impl HistStats {
-    fn record(&mut self, v: f64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
+    ($name:literal, $n:expr) => {
+        if $crate::is_enabled() {
+            static HANDLE: ::std::sync::OnceLock<$crate::live::Counter> =
+                ::std::sync::OnceLock::new();
+            HANDLE
+                .get_or_init(|| $crate::registry().counter($name, &[]))
+                .add($n as u64);
         }
-        self.count += 1;
-        self.sum += v;
-        if self.samples.len() < RESERVOIR {
-            self.samples.push(v);
-        } else {
-            let h = splitmix64(self.count);
-            if (h % self.count) < RESERVOIR as u64 {
-                let slot = (splitmix64(h) % RESERVOIR as u64) as usize;
-                self.samples[slot] = v;
-            }
-        }
-    }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn counters() -> &'static Mutex<HashMap<&'static str, u64>> {
-    static COUNTERS: OnceLock<Mutex<HashMap<&'static str, u64>>> = OnceLock::new();
-    COUNTERS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn histograms() -> &'static Mutex<HashMap<&'static str, HistStats>> {
-    static HISTOGRAMS: OnceLock<Mutex<HashMap<&'static str, HistStats>>> = OnceLock::new();
-    HISTOGRAMS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_counters() -> std::sync::MutexGuard<'static, HashMap<&'static str, u64>> {
-    counters()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn lock_histograms() -> std::sync::MutexGuard<'static, HashMap<&'static str, HistStats>> {
-    histograms()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Add `n` to the counter `name` (the [`counter!`] macro calls this).
-pub fn add(name: &'static str, n: u64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    *lock_counters().entry(name).or_insert(0) += n;
-}
-
-/// Read one counter's current value (0 when never incremented).
-pub fn get(name: &str) -> u64 {
-    lock_counters().get(name).copied().unwrap_or(0)
-}
-
-/// Record `v` into the histogram `name` (the [`record!`] macro calls this).
-pub fn observe(name: &'static str, v: f64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    lock_histograms().entry(name).or_default().record(v);
-}
-
-/// Clear both registries.
-pub(crate) fn reset() {
-    lock_counters().clear();
-    lock_histograms().clear();
+    };
 }
 
 /// One counter's snapshot.
@@ -132,97 +35,26 @@ pub struct CounterSummary {
     pub value: u64,
 }
 
-/// One histogram's snapshot.
+/// One gauge's snapshot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSummary {
-    /// Histogram name.
+pub struct GaugeSummary {
+    /// Gauge name.
     pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-    /// Median (reservoir estimate).
-    pub p50: f64,
-    /// 99th percentile (reservoir estimate).
-    pub p99: f64,
-}
-
-impl HistogramSummary {
-    /// Mean observation.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("name", Value::from(self.name.as_str())),
-            ("count", Value::from(self.count)),
-            ("sum", Value::from(self.sum)),
-            ("mean", Value::from(self.mean())),
-            ("min", Value::from(self.min)),
-            ("max", Value::from(self.max)),
-            ("p50", Value::from(self.p50)),
-            ("p99", Value::from(self.p99)),
-        ])
-    }
-}
-
-/// Snapshot every counter, sorted by name.
-pub fn counter_summaries() -> Vec<CounterSummary> {
-    let mut out: Vec<CounterSummary> = lock_counters()
-        .iter()
-        .map(|(name, value)| CounterSummary {
-            name: (*name).to_string(),
-            value: *value,
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Snapshot every histogram, sorted by name.
-pub fn histogram_summaries() -> Vec<HistogramSummary> {
-    let mut out: Vec<HistogramSummary> = lock_histograms()
-        .iter()
-        .map(|(name, h)| {
-            let mut sorted = h.samples.clone();
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("histogram samples are finite"));
-            HistogramSummary {
-                name: (*name).to_string(),
-                count: h.count,
-                sum: h.sum,
-                min: h.min,
-                max: h.max,
-                p50: percentile(&sorted, 0.50),
-                p99: percentile(&sorted, 0.99),
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
+    /// Last value set.
+    pub value: f64,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::test_lock;
+
+    fn get(name: &str) -> u64 {
+        crate::snapshot()
+            .counters
+            .into_iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    }
 
     #[test]
     fn counters_accumulate_and_sort() {
@@ -234,31 +66,14 @@ mod tests {
         crate::counter!("test.metrics.a");
         assert_eq!(get("test.metrics.a"), 42);
         assert_eq!(get("test.metrics.b"), 1);
-        let names: Vec<String> = counter_summaries().into_iter().map(|c| c.name).collect();
+        let names: Vec<String> = crate::snapshot()
+            .counters
+            .into_iter()
+            .map(|c| c.name)
+            .collect();
         let a = names.iter().position(|n| n == "test.metrics.a").unwrap();
         let b = names.iter().position(|n| n == "test.metrics.b").unwrap();
         assert!(a < b, "summaries sorted by name");
-        crate::disable();
-    }
-
-    #[test]
-    fn histograms_aggregate() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            crate::record!("test.metrics.hist", v);
-        }
-        let h = histogram_summaries()
-            .into_iter()
-            .find(|h| h.name == "test.metrics.hist")
-            .unwrap();
-        assert_eq!(h.count, 4);
-        assert!((h.sum - 10.0).abs() < 1e-12);
-        assert!((h.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 4.0);
-        assert!((1.0..=4.0).contains(&h.p50));
         crate::disable();
     }
 
@@ -268,169 +83,7 @@ mod tests {
         crate::disable();
         crate::reset();
         crate::counter!("test.metrics.off", 5);
-        crate::record!("test.metrics.off_hist", 5.0);
         assert_eq!(get("test.metrics.off"), 0);
-        assert!(histogram_summaries().is_empty());
-    }
-
-    /// Exact quantile of a full sample stream, same index convention as
-    /// the reservoir estimator — the reference the estimates are judged
-    /// against.
-    fn exact_quantile(values: &[f64], q: f64) -> f64 {
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        percentile(&sorted, q)
-    }
-
-    fn observed(name: &str) -> HistogramSummary {
-        histogram_summaries()
-            .into_iter()
-            .find(|h| h.name == name)
-            .expect("histogram recorded")
-    }
-
-    #[test]
-    fn quantiles_are_exact_below_reservoir_capacity() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // 1000 < RESERVOIR: every sample is retained, so p50/p99 must
-        // equal the exact quantiles, not approximate them.
-        let values: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        for &v in &values {
-            observe("test.metrics.q_exact", v);
-        }
-        let h = observed("test.metrics.q_exact");
-        assert_eq!(h.p50, exact_quantile(&values, 0.50));
-        assert_eq!(h.p99, exact_quantile(&values, 0.99));
-        assert_eq!(h.p50, 500.0);
-        assert_eq!(h.p99, 989.0);
-        crate::disable();
-    }
-
-    #[test]
-    fn quantiles_approximate_a_uniform_stream_past_capacity() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // A uniform ramp of 8× the reservoir: the estimates must track the
-        // exact quantiles within a few percent of the range.
-        let n = RESERVOIR * 8;
-        let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        for &v in &values {
-            observe("test.metrics.q_uniform", v);
-        }
-        let h = observed("test.metrics.q_uniform");
-        let range = n as f64;
-        assert!(
-            (h.p50 - exact_quantile(&values, 0.50)).abs() < 0.05 * range,
-            "p50 {} vs exact {}",
-            h.p50,
-            exact_quantile(&values, 0.50)
-        );
-        assert!(
-            (h.p99 - exact_quantile(&values, 0.99)).abs() < 0.05 * range,
-            "p99 {} vs exact {}",
-            h.p99,
-            exact_quantile(&values, 0.99)
-        );
-        crate::disable();
-    }
-
-    #[test]
-    fn quantiles_capture_a_two_point_distribution() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // 95% fast path at 1.0, 5% slow path at 100.0 — the shape of a
-        // stage timer with an occasional stall. p50 must sit on the fast
-        // mode and p99 on the slow one, even past reservoir capacity.
-        let n = RESERVOIR * 4;
-        let values: Vec<f64> = (0..n)
-            .map(|i| if i % 20 == 19 { 100.0 } else { 1.0 })
-            .collect();
-        for &v in &values {
-            observe("test.metrics.q_two_point", v);
-        }
-        let h = observed("test.metrics.q_two_point");
-        assert_eq!(h.p50, 1.0);
-        assert_eq!(h.p99, 100.0);
-        assert_eq!(exact_quantile(&values, 0.50), 1.0);
-        assert_eq!(exact_quantile(&values, 0.99), 100.0);
-        crate::disable();
-    }
-
-    #[test]
-    fn quantiles_track_a_heavy_tail() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // Pareto-ish tail: v = (1 - u)^(-2) over a deterministic u-grid.
-        // The p99 lives far from the bulk and is estimated from only ~20
-        // reservoir samples, so the contract is order-of-magnitude: within
-        // a factor of 2.5 of the exact quantile (the bulk p50 stays within
-        // 25%).
-        let n = RESERVOIR * 8;
-        let values: Vec<f64> = (0..n)
-            .map(|i| {
-                let u = (i as f64 + 0.5) / n as f64;
-                (1.0 - u).powi(-2)
-            })
-            .collect();
-        for &v in &values {
-            observe("test.metrics.q_tail", v);
-        }
-        let h = observed("test.metrics.q_tail");
-        let exact50 = exact_quantile(&values, 0.50);
-        let exact99 = exact_quantile(&values, 0.99);
-        assert!(
-            (h.p50 - exact50).abs() < 0.25 * exact50,
-            "p50 {} vs exact {}",
-            h.p50,
-            exact50
-        );
-        assert!(
-            h.p99 > exact99 / 2.5 && h.p99 < exact99 * 2.5,
-            "p99 {} vs exact {}",
-            h.p99,
-            exact99
-        );
-        assert!(h.p99 > 10.0 * h.p50, "the tail is actually heavy");
-        crate::disable();
-    }
-
-    #[test]
-    fn single_sample_quantiles_collapse_to_the_sample() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        observe("test.metrics.q_single", 42.5);
-        let h = observed("test.metrics.q_single");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.min, 42.5);
-        assert_eq!(h.max, 42.5);
-        assert_eq!(h.p50, 42.5);
-        assert_eq!(h.p99, 42.5);
-        assert_eq!(h.mean(), 42.5);
-        crate::disable();
-    }
-
-    #[test]
-    fn empty_quantiles_are_zero_not_panic() {
-        // A histogram only exists once observed, so the empty case lives in
-        // the estimator itself: an empty sample set reports 0 everywhere.
-        assert_eq!(percentile(&[], 0.50), 0.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
-        let empty = HistogramSummary {
-            name: "empty".into(),
-            count: 0,
-            sum: 0.0,
-            min: 0.0,
-            max: 0.0,
-            p50: 0.0,
-            p99: 0.0,
-        };
-        assert_eq!(empty.mean(), 0.0);
     }
 
     #[test]
@@ -439,8 +92,24 @@ mod tests {
         crate::init(crate::ObsConfig::default());
         crate::reset();
         crate::counter!("test.metrics.persist", 9);
-        let _ = counter_summaries();
+        let _ = crate::snapshot();
         assert_eq!(get("test.metrics.persist"), 9);
+        crate::disable();
+    }
+
+    #[test]
+    fn reset_keeps_cached_handles_live() {
+        let _guard = test_lock::hold();
+        crate::init(crate::ObsConfig::default());
+        crate::reset();
+        let bump = |n: u64| crate::counter!("test.metrics.cached", n);
+        bump(3);
+        crate::reset();
+        assert_eq!(get("test.metrics.cached"), 0, "reset zeroes in place");
+        // The same call site, its handle already cached, lands in the
+        // zeroed cell the snapshot reads.
+        bump(2);
+        assert_eq!(get("test.metrics.cached"), 2);
         crate::disable();
     }
 }

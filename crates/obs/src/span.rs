@@ -1,53 +1,52 @@
 //! Hierarchical timing spans.
 //!
 //! `let _s = obs::span!("rx.process_frame");` times the enclosing scope and
-//! records the duration into a global thread-safe registry keyed by the
-//! span's static name. Hierarchy is by naming convention (dotted paths),
-//! not by runtime nesting — aggregation stays O(1) per span and the
-//! reports stay stable across thread interleavings (seed sweeps run spans
-//! from several threads at once).
+//! records the duration into the global registry's latency histogram of
+//! the span's static name ([`crate::registry`]). Hierarchy is by naming
+//! convention (dotted paths), not by runtime nesting — aggregation stays
+//! O(1) per span and the reports stay stable across thread interleavings
+//! (seed sweeps run spans from several threads at once).
 //!
-//! Per-name aggregation keeps count / total / min / max exactly and p50 /
-//! p99 from a bounded reservoir (deterministic splitmix64 replacement, so
-//! identical runs report identical percentiles).
+//! A span's histogram keeps count / total / min / max exactly (integer
+//! nanoseconds) and p50 / p99 to its log-spaced bucket: within ~19 % of the
+//! value, with a ~1 µs floor (see [`crate::live::LatencyHistogram`]).
 
 use crate::json::Value;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use crate::live::{HistogramSample, LatencyHistogram};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Reservoir size for percentile estimation. 2048 samples bound the error
-/// on p99 to well under the run-to-run noise of a camera simulation.
-const RESERVOIR: usize = 2048;
-
 /// Time a scope: `let _guard = span!("name");`. The span ends (and its
-/// duration is recorded) when the guard drops. Resolves to a no-op guard
-/// when observability is disabled.
+/// duration is recorded) when the guard drops. Each call site resolves its
+/// histogram once and caches it in a `static`; when observability is
+/// disabled the guard is a no-op and nothing is resolved.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span::SpanGuard::enter($name)
-    };
+    ($name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::live::LatencyHistogram> =
+            ::std::sync::OnceLock::new();
+        $crate::span::SpanGuard::enter($name, &HANDLE)
+    }};
 }
 
 /// RAII guard produced by [`span!`]. Records elapsed wall-clock time into
-/// the global registry on drop.
+/// the span's histogram on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    start: Option<Instant>,
+    started: Option<(Instant, &'static LatencyHistogram)>,
 }
 
 impl SpanGuard {
-    /// Start a span (no-op when observability is disabled).
+    /// Start a span whose histogram is cached in `handle` (no-op when
+    /// observability is disabled).
     #[inline]
-    pub fn enter(name: &'static str) -> SpanGuard {
-        let start = if crate::is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        SpanGuard { name, start }
+    pub fn enter(name: &'static str, handle: &'static OnceLock<LatencyHistogram>) -> SpanGuard {
+        let started = crate::is_enabled().then(|| {
+            let hist = handle.get_or_init(|| crate::registry().histogram_ms(name, &[]));
+            (Instant::now(), hist)
+        });
+        SpanGuard { name, started }
     }
 
     /// End the span early (otherwise it ends when dropped).
@@ -56,83 +55,15 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
+        if let Some((start, hist)) = self.started.take() {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            record_ns(self.name, ns);
+            hist.record_ns(ns);
             // Timeline tracing keeps the individual occurrence (begin
             // timestamp + duration) on this thread's track; one relaxed
             // atomic when tracing is off.
             crate::trace::record_span(self.name, start, ns);
         }
     }
-}
-
-#[derive(Debug, Clone, Default)]
-struct SpanStats {
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    samples: Vec<u64>,
-}
-
-impl SpanStats {
-    fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        if self.samples.len() < RESERVOIR {
-            self.samples.push(ns);
-        } else {
-            // Deterministic reservoir sampling: replace a pseudo-random
-            // slot derived from the observation count (splitmix64), with
-            // the classic 1/count acceptance so the reservoir stays a
-            // uniform sample of the whole stream.
-            let h = splitmix64(self.count);
-            if (h % self.count) < RESERVOIR as u64 {
-                let slot = (splitmix64(h) % RESERVOIR as u64) as usize;
-                self.samples[slot] = ns;
-            }
-        }
-    }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn registry() -> &'static Mutex<HashMap<&'static str, SpanStats>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, SpanStats>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock() -> std::sync::MutexGuard<'static, HashMap<&'static str, SpanStats>> {
-    registry()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Record one observation for `name` directly (the [`span!`] guard calls
-/// this; exposed for already-measured durations).
-pub fn record_ns(name: &'static str, ns: u64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    lock().entry(name).or_default().record(ns);
-}
-
-/// Clear the span registry.
-pub(crate) fn reset() {
-    lock().clear();
 }
 
 /// Aggregated timings for one span name.
@@ -148,13 +79,29 @@ pub struct SpanSummary {
     pub min_ns: u64,
     /// Longest observed duration, nanoseconds.
     pub max_ns: u64,
-    /// Median duration (reservoir estimate), nanoseconds.
+    /// Median duration (histogram estimate), nanoseconds.
     pub p50_ns: u64,
-    /// 99th-percentile duration (reservoir estimate), nanoseconds.
+    /// 99th-percentile duration (histogram estimate), nanoseconds.
     pub p99_ns: u64,
 }
 
 impl SpanSummary {
+    /// Summarize a span's histogram. The histogram holds integer
+    /// nanoseconds and reports milliseconds; rounding back is exact for
+    /// totals below 2^51 ns (26 days).
+    pub(crate) fn from_sample(h: &HistogramSample) -> SpanSummary {
+        let ns = |ms: f64| (ms * 1e6).round() as u64;
+        SpanSummary {
+            name: h.id.name.clone(),
+            count: h.count,
+            total_ns: ns(h.sum_ms),
+            min_ns: ns(h.min_ms),
+            max_ns: ns(h.max_ms),
+            p50_ns: ns(h.p50_ms),
+            p99_ns: ns(h.p99_ms),
+        }
+    }
+
     /// Mean duration in nanoseconds.
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
@@ -179,43 +126,17 @@ impl SpanSummary {
     }
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Snapshot every span's aggregate, sorted by name.
-pub fn summaries() -> Vec<SpanSummary> {
-    let mut out: Vec<SpanSummary> = lock()
-        .iter()
-        .map(|(name, s)| {
-            let mut sorted = s.samples.clone();
-            sorted.sort_unstable();
-            SpanSummary {
-                name: (*name).to_string(),
-                count: s.count,
-                total_ns: s.total_ns,
-                min_ns: s.min_ns,
-                max_ns: s.max_ns,
-                p50_ns: percentile(&sorted, 0.50),
-                p99_ns: percentile(&sorted, 0.99),
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_lock;
 
     fn find(name: &str) -> Option<SpanSummary> {
-        summaries().into_iter().find(|s| s.name == name)
+        crate::snapshot().spans.into_iter().find(|s| s.name == name)
+    }
+
+    fn record_ns(name: &str, ns: u64) {
+        crate::registry().histogram_ms(name, &[]).record_ns(ns);
     }
 
     #[test]
@@ -238,33 +159,33 @@ mod tests {
         let _guard = test_lock::hold();
         crate::init(crate::ObsConfig::default());
         crate::reset();
-        for ns in [10, 20, 30, 40, 1000] {
+        for ns in [10_000, 20_000, 30_000, 40_000, 1_000_003] {
             record_ns("test.span.exact", ns);
         }
         let s = find("test.span.exact").unwrap();
         assert_eq!(s.count, 5);
-        assert_eq!(s.total_ns, 1100);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 1000);
-        assert_eq!(s.p50_ns, 30);
-        assert_eq!(s.p99_ns, 1000);
+        assert_eq!(s.total_ns, 1_100_003);
+        assert_eq!(s.min_ns, 10_000);
+        assert_eq!(s.max_ns, 1_000_003);
+        let p50_err = (s.p50_ns as f64 - 30_000.0).abs() / 30_000.0;
+        assert!(p50_err < 0.2, "p50 {} within a bucket of 30 µs", s.p50_ns);
+        assert_eq!(s.p99_ns, 1_000_003, "the top bucket clamps to the max");
         crate::disable();
     }
 
     #[test]
-    fn reservoir_keeps_percentiles_after_overflow() {
+    fn percentiles_track_a_long_uniform_ramp() {
         let _guard = test_lock::hold();
         crate::init(crate::ObsConfig::default());
         crate::reset();
-        // A uniform ramp of 10× the reservoir size: p50 should land near
-        // the middle of the range even after heavy replacement.
-        let n = (RESERVOIR * 10) as u64;
+        // 20 480 samples from 0 to ~20 ms: p50 lands near the middle.
+        let n = 20_480u64;
         for i in 0..n {
-            record_ns("test.span.reservoir", i);
+            record_ns("test.span.ramp", i * 1_000);
         }
-        let s = find("test.span.reservoir").unwrap();
+        let s = find("test.span.ramp").unwrap();
         assert_eq!(s.count, n);
-        let mid = n as f64 / 2.0;
+        let mid = (n * 1_000) as f64 / 2.0;
         assert!(
             (s.p50_ns as f64 - mid).abs() < mid * 0.25,
             "p50 {} should approximate {}",
@@ -295,14 +216,14 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        record_ns("test.span.threads", 7);
+                        record_ns("test.span.threads", 7_000);
                     }
                 });
             }
         });
         let s = find("test.span.threads").unwrap();
         assert_eq!(s.count, 400);
-        assert_eq!(s.total_ns, 2800);
+        assert_eq!(s.total_ns, 2_800_000);
         crate::disable();
     }
 }

@@ -86,6 +86,10 @@ COLORBARS_OBS_TRACE="$CI_TMP/trace.json" COLORBARS_SWEEP_THREADS=2 \
 cargo run --release -p colorbars-bench --bin doctor -- \
     "$CI_TMP/smoke_report.json" --trace "$CI_TMP/trace.json" --min-tracks 2
 
+echo "==> doctor on committed schema-v1 reports (the older format still diagnoses)"
+cargo run --release -p colorbars-bench --bin doctor -- results/table1_interframe.json
+cargo run --release -p colorbars-bench --bin doctor -- results/fig9_ser.json
+
 echo "==> gateway --smoke (4 concurrent streaming sessions, live telemetry plane)"
 COLORBARS_OBS_LIVE="$CI_TMP/gateway_live.jsonl" COLORBARS_OBS_LIVE_INTERVAL_MS=200 \
 COLORBARS_RESULTS_DIR="$CI_TMP/results" \
